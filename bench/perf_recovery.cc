@@ -128,7 +128,6 @@ ReconstructionNumbers RunReconstruction(size_t records, size_t k, size_t m,
   // walks detect -> probe -> declare; rebuild immediately (no hold) so the
   // number is reconstruction cost, not the configured degraded window.
   o.request_timeout_us = 3'000;
-  o.report_dead_after_retries = 2;
   o.ping_timeout_us = 6'000;
   o.recovery_hold_us = 0;
   sdds::LhSystem sys(o);

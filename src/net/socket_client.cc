@@ -1,15 +1,14 @@
 #include "net/socket_client.h"
 
-#include <algorithm>
 #include <chrono>
+#include <map>
+#include <string>
 #include <utility>
 
-#include "obs/log.h"
 #include "util/logging.h"
 
 namespace essdds::net {
 
-using sdds::FileImage;
 using sdds::Message;
 using sdds::MsgType;
 
@@ -22,50 +21,16 @@ uint64_t MonotonicNs() {
           .count());
 }
 
-uint64_t SaturatingAdd(uint64_t a, uint64_t b) {
-  return b > UINT64_MAX - a ? UINT64_MAX : a + b;
-}
-
 }  // namespace
 
 SocketClient::SocketClient(Options options)
     : options_(std::move(options)),
-      site_(kClientSiteBase + options_.client_id),
-      start_ns_(MonotonicNs()) {
+      start_ns_(MonotonicNs()),
+      core_(kClientSiteBase + options_.client_id, kCoordinatorSite,
+            net::SiteOfBucket, options_.lh, registry_, trace_),
+      corrupt_counter_(&registry_.counter("net.corrupt_frames")) {
   ESSDDS_CHECK(!options_.cluster.hosts.empty());
-  ESSDDS_CHECK(IsClientSite(site_));
-  insert_us_ = &registry_.histogram("client.insert_us");
-  lookup_us_ = &registry_.histogram("client.lookup_us");
-  delete_us_ = &registry_.histogram("client.delete_us");
-  scan_us_ = &registry_.histogram("client.scan_us");
-  retries_counter_ = &registry_.counter("client.retries");
-  stale_counter_ = &registry_.counter("client.stale_replies");
-  iam_counter_ = &registry_.counter("client.iams");
-  corrupt_counter_ = &registry_.counter("net.corrupt_frames");
-}
-
-uint64_t SocketClient::NextTraceId() {
-  if (!obs::kMetricsEnabled) return 0;
-  return (static_cast<uint64_t>(site_) << 32) | ++next_trace_seq_;
-}
-
-void SocketClient::Hop(obs::HopKind kind, const Message& msg) {
-  if (!obs::kMetricsEnabled) return;
-  trace_.Record({now_us(), msg.trace_id, msg.request_id, msg.key, msg.from,
-                 msg.to, static_cast<uint8_t>(msg.type), kind});
-}
-
-obs::Histogram& SocketClient::LatencyHistogramFor(MsgType type) {
-  switch (type) {
-    case MsgType::kInsert:
-      return *insert_us_;
-    case MsgType::kLookup:
-      return *lookup_us_;
-    case MsgType::kDelete:
-      return *delete_us_;
-    default:
-      return *scan_us_;
-  }
+  ESSDDS_CHECK(IsClientSite(core_.site()));
 }
 
 SocketClient::~SocketClient() = default;
@@ -82,34 +47,9 @@ Status SocketClient::Connect() {
         DialBlocking(options_.cluster.hosts[h], options_.connect_timeout_ms));
     conns_[h] = std::make_unique<Conn>(fd);
     conns_[h]->EnqueueFrame(
-        EncodeFrame(FrameKind::kHello, EncodeHello(site_)));
+        EncodeFrame(FrameKind::kHello, EncodeHello(core_.site())));
   }
   return Status::OK();
-}
-
-uint64_t SocketClient::AddressFor(uint64_t key) const {
-  const uint64_t key_image = sdds::LhKeyImage(key, options_.lh);
-  uint64_t a = key_image & ((uint64_t{1} << image_.level) - 1);
-  if (a < image_.split_pointer) {
-    a = key_image & ((uint64_t{1} << (image_.level + 1)) - 1);
-  }
-  return a;
-}
-
-void SocketClient::ApplyIam(const Message& reply) {
-  if (!reply.has_iam) return;
-  ++iam_count_;
-  iam_counter_->Increment();
-  FileImage candidate;
-  candidate.level = reply.iam_level >= 1 ? reply.iam_level - 1 : 0;
-  candidate.split_pointer = static_cast<uint32_t>(reply.iam_address) + 1;
-  if (candidate.split_pointer >= (uint32_t{1} << candidate.level)) {
-    candidate.split_pointer = 0;
-    ++candidate.level;
-  }
-  if (candidate.BucketCount() > image_.BucketCount()) {
-    image_ = candidate;
-  }
 }
 
 Conn* SocketClient::HostConn(size_t host) {
@@ -122,72 +62,35 @@ Conn* SocketClient::HostConn(size_t host) {
   Result<int> fd = DialStart(options_.cluster.hosts[host]);
   if (!fd.ok()) return nullptr;
   slot = std::make_unique<Conn>(*fd);
-  slot->EnqueueFrame(EncodeFrame(FrameKind::kHello, EncodeHello(site_)));
+  slot->EnqueueFrame(EncodeFrame(FrameKind::kHello, EncodeHello(core_.site())));
   return slot.get();
 }
 
-void SocketClient::SendToBucket(uint64_t address, const Message& msg) {
-  Conn* conn = HostConn(options_.cluster.HostOfBucket(address));
+void SocketClient::Send(const Message& msg) {
+  if (obs::kMetricsEnabled) {
+    trace_.Record({now_us(), msg.trace_id, msg.request_id, msg.key, msg.from,
+                   msg.to, static_cast<uint8_t>(msg.type),
+                   obs::HopKind::kSend});
+  }
+  Conn* conn = HostConn(options_.cluster.HostOfSite(msg.to));
   if (conn == nullptr) return;  // redial failed; timeout path owns recovery
   conn->EnqueueFrame(EncodeFrame(FrameKind::kMessage, msg.Encode()));
 }
 
-uint64_t SocketClient::BackoffDeadline(uint32_t attempts) const {
-  // Same bounded exponential backoff as LhClient::RoundTrip: double the
-  // patience per attempt up to 2^6, everything saturating.
-  const uint64_t timeout = options_.lh.request_timeout_us;
-  const uint32_t shift = std::min<uint32_t>(attempts, 6);
-  uint64_t backoff = timeout;
-  if (shift > 0) {
-    backoff = timeout > (UINT64_MAX >> shift) ? UINT64_MAX : timeout << shift;
-  }
-  return SaturatingAdd(now_us(), backoff);
-}
-
-void SocketClient::SendOp(uint64_t id, const PendingOp& op) {
-  Message req;
-  req.type = op.type;
-  req.from = site_;
-  req.reply_to = site_;
-  req.request_id = id;
-  req.key = op.key;
-  req.value = op.value;
-  req.trace_id = op.trace_id;
-  const uint64_t address = AddressFor(op.key);
-  req.to = net::SiteOfBucket(address);
-  Hop(obs::HopKind::kSend, req);
-  SendToBucket(address, req);
-}
-
 Result<uint64_t> SocketClient::SubmitKeyOp(MsgType type, uint64_t key,
                                            Bytes value) {
-  ESSDDS_CHECK(scan_ == nullptr) << "key op submitted during a scan";
   // Window cap: pump until a slot frees (completions may also fail ops,
   // which frees their slots too).
-  while (pending_.size() >= options_.max_inflight) {
+  while (core_.inflight() >= options_.max_inflight) {
     (void)PumpOnce(10);
     CheckTimeouts();
   }
-  const uint64_t id = next_request_id_++;
-  PendingOp op;
-  op.type = type;
-  op.key = key;
-  op.value = std::move(value);
-  op.attempts = 0;
-  op.trace_id = NextTraceId();
-  last_trace_id_ = op.trace_id;
-  op.start_us = now_us();
-  op.deadline_us = SaturatingAdd(now_us(), options_.lh.request_timeout_us);
-  if (obs::kMetricsEnabled) {
-    trace_.Record({op.start_us, op.trace_id, id, key, site_, site_,
-                   static_cast<uint8_t>(type), obs::HopKind::kOpStart});
-  }
-  SendOp(id, op);
-  pending_.emplace(id, std::move(op));
+  const Message req = core_.StartKeyOp(type, key, std::move(value), now_us());
+  Send(req);
   // Opportunistically drain arrived replies so a deep pipeline keeps the
   // socket moving without waiting for Await.
   (void)PumpOnce(0);
-  return id;
+  return req.request_id;
 }
 
 Result<uint64_t> SocketClient::SubmitInsert(uint64_t key, Bytes value) {
@@ -200,44 +103,17 @@ Result<uint64_t> SocketClient::SubmitDelete(uint64_t key) {
   return SubmitKeyOp(MsgType::kDelete, key, {});
 }
 
-void SocketClient::HandleReply(Message msg) {
-  if (scan_ != nullptr && msg.type == MsgType::kScanReply &&
-      msg.request_id == scan_->request_id) {
-    // One reply per bucket (reply.key); duplicates are idempotent.
-    scan_->replies.emplace(msg.key, std::move(msg));
+void SocketClient::Complete(sdds::ClientCore::Completion done) {
+  if (!done.reply.ok()) {
+    done_.emplace(done.request_id, done.reply.status());
     return;
-  }
-  auto it = pending_.find(msg.request_id);
-  if (it == pending_.end()) {
-    // Late original of a retried request (the servers are idempotent), or
-    // a reply to a completed op.
-    ++stale_reply_count_;
-    stale_counter_->Increment();
-    Hop(obs::HopKind::kStale, msg);
-    return;
-  }
-  ApplyIam(msg);
-  const PendingOp& op = it->second;
-  const uint64_t elapsed_us = now_us() - op.start_us;
-  LatencyHistogramFor(op.type).Record(elapsed_us);
-  // The reply rode the wire with the op's trace id; close the span here.
-  Hop(obs::HopKind::kOpDone, msg);
-  const uint64_t slow = options_.lh.slow_op_us;
-  if (slow != 0 && elapsed_us >= slow) {
-    obs::LogEvent("slow_op")
-        .Str("op", sdds::MsgTypeToString(op.type))
-        .U64("key", op.key)
-        .U64("elapsed_us", elapsed_us)
-        .U64("trace_id", op.trace_id)
-        .U64("attempts", op.attempts);
   }
   OpResult result;
-  result.type = msg.type;
-  result.found = msg.found;
-  result.value = std::move(msg.value);
-  result.trace_id = op.trace_id;
-  pending_.erase(it);
-  done_.emplace(msg.request_id, std::move(result));
+  result.type = done.reply->type;
+  result.found = done.reply->found;
+  result.value = std::move(done.reply->value);
+  result.trace_id = done.trace_id;
+  done_.emplace(done.request_id, std::move(result));
 }
 
 bool SocketClient::PumpOnce(int timeout_ms) {
@@ -280,7 +156,9 @@ bool SocketClient::PumpOnce(int timeout_ms) {
                                << msg.status().ToString();
           continue;
         }
-        HandleReply(std::move(*msg));
+        if (auto done = core_.OnReply(std::move(*msg), now_us())) {
+          Complete(std::move(*done));
+        }
       }
     } else if (e.writable && conn->wants_write()) {
       if (conn->Flush()) progress = true;
@@ -290,55 +168,11 @@ bool SocketClient::PumpOnce(int timeout_ms) {
 }
 
 void SocketClient::CheckTimeouts() {
-  const uint64_t now = now_us();
-  std::vector<uint64_t> failed;
-  for (auto& [id, op] : pending_) {
-    if (op.deadline_us > now) continue;
-    if (op.attempts >= options_.lh.max_request_retries) {
-      failed.push_back(id);
-      continue;
-    }
-    ++op.attempts;
-    ++retry_count_;
-    retries_counter_->Increment();
-    if (obs::kMetricsEnabled) {
-      trace_.Record({now_us(), op.trace_id, id, op.key, site_, site_,
-                     static_cast<uint8_t>(op.type), obs::HopKind::kRetry});
-    }
-    op.deadline_us = BackoffDeadline(op.attempts);
-    SendOp(id, op);
-  }
-  for (uint64_t id : failed) {
-    auto it = pending_.find(id);
-    // An exhausted op is how a dead host surfaces; report the record key we
-    // could not get served to the coordinator (same report LhClient raises
-    // mid-retry). The coordinator counts it — coord.dead_site_reports —
-    // and, when parity groups are configured, probes the key's forwarding
-    // chain. Best-effort: the report needs no reply and host 0 may itself
-    // be the dead one.
-    Message report;
-    report.type = MsgType::kDeadSite;
-    report.from = site_;
-    report.reply_to = site_;
-    report.to = kCoordinatorSite;
-    report.key = it->second.key;
-    report.trace_id = it->second.trace_id;
-    SendToBucket(0, report);
-    // An exhausted op is always worth a structured line (no slow_op_us
-    // gate): it is the client-visible symptom of a dead host.
-    obs::LogEvent("op_unavailable", LogLevel::kError)
-        .Str("op", MsgTypeToString(it->second.type))
-        .U64("key", it->second.key)
-        .U64("elapsed_us", now - it->second.start_us)
-        .U64("trace_id", it->second.trace_id)
-        .U64("attempts", it->second.attempts + 1);
-    done_.emplace(
-        id, Status::Unavailable(
-                "request " + std::to_string(id) + " (" +
-                std::string(MsgTypeToString(it->second.type)) + " key " +
-                std::to_string(it->second.key) + ") unanswered after " +
-                std::to_string(it->second.attempts + 1) + " attempts"));
-    pending_.erase(it);
+  for (sdds::ClientCore::Expiry& e : core_.Tick(now_us())) {
+    // A kDeadSite report goes to the coordinator on host 0: best-effort,
+    // it needs no reply and host 0 may itself be the dead one.
+    for (const Message& m : e.sends) Send(m);
+    if (e.failed.has_value()) Complete(std::move(*e.failed));
   }
 }
 
@@ -350,7 +184,7 @@ Result<SocketClient::OpResult> SocketClient::Await(uint64_t token) {
       done_.erase(it);
       return result;
     }
-    ESSDDS_CHECK(pending_.count(token) != 0)
+    ESSDDS_CHECK(core_.pending(token))
         << "awaiting unknown op " << token;
     (void)PumpOnce(10);
     CheckTimeouts();
@@ -359,7 +193,7 @@ Result<SocketClient::OpResult> SocketClient::Await(uint64_t token) {
 
 Status SocketClient::AwaitAll() {
   Status first = Status::OK();
-  while (!pending_.empty()) {
+  while (core_.inflight() != 0) {
     (void)PumpOnce(10);
     CheckTimeouts();
   }
@@ -400,104 +234,50 @@ Status SocketClient::Delete(uint64_t key) {
 
 Result<SocketClient::ScanResult> SocketClient::Scan(uint64_t filter_id,
                                                     Bytes filter_arg) {
-  if (!pending_.empty()) {
+  if (core_.inflight() != 0) {
     return Status::FailedPrecondition(
         "scan requires an empty pipeline; call AwaitAll first");
   }
-  scan_ = std::make_unique<ScanState>();
-  scan_->request_id = next_request_id_++;
-  const uint64_t trace_id = NextTraceId();
-  last_trace_id_ = trace_id;
-  const uint64_t op_start_us = now_us();
-
-  // Fan out over the image; buckets forward to children the image missed
-  // (HandleScan), and each reply's piggybacked level tells us exactly which
-  // children to await.
-  const uint64_t extent = image_.BucketCount();
-  for (uint64_t a = 0; a < extent; ++a) {
-    Message req;
-    req.type = MsgType::kScan;
-    req.from = site_;
-    req.reply_to = site_;
-    req.request_id = scan_->request_id;
-    req.trace_id = trace_id;
-    req.filter_id = filter_id;
-    req.filter_arg = filter_arg;
-    req.assumed_level = image_.AssumedLevel(a);
-    req.to = net::SiteOfBucket(a);
-    if (a == 0) Hop(obs::HopKind::kOpStart, req);
-    Hop(obs::HopKind::kSend, req);
-    scan_->expected.emplace(a, req.assumed_level);
-    SendToBucket(a, req);
+  // Termination cannot use the simulators' quiescence barrier, which is
+  // unobservable across processes. Instead each reply carries its bucket's
+  // level, from which the buckets it forwarded to follow. `expected` maps
+  // every bucket known to be scanned to the level it was scanned under.
+  const uint64_t start_us = now_us();
+  std::map<uint64_t, uint32_t> expected;
+  for (const Message& req : core_.StartScan(filter_id, filter_arg, start_us)) {
+    expected.emplace(req.key, req.assumed_level);
+    Send(req);
   }
-
   // Scans have no retransmission layer (mirroring the simulators, where
   // scan traffic is never fault-eligible); one overall deadline bounds the
   // wait so a dead server is an error, not a hang.
-  const uint64_t deadline =
-      SaturatingAdd(now_us(), options_.lh.request_timeout_us);
+  const uint64_t deadline = sdds::ClientCore::BackoffDeadline(
+      start_us, options_.lh.request_timeout_us, /*attempts=*/0);
+  const std::map<uint64_t, Message>& replies = core_.scan_replies();
   for (;;) {
-    // Expand: a reply from bucket b at level l proves b forwarded to child
-    // b + 2^l' for every l' in [assumed_b, l) — all of which exist (no
-    // merges: a bucket at level l has split at every level since its
-    // creation). Await exactly those.
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (const auto& [bucket, assumed] : scan_->expected) {
-        if (scan_->expanded.count(bucket) != 0) continue;
-        auto rit = scan_->replies.find(bucket);
-        if (rit == scan_->replies.end()) continue;
-        scan_->expanded.insert(bucket);
-        const uint32_t level = rit->second.new_level;
-        for (uint32_t l = assumed; l < level; ++l) {
-          const uint64_t child = bucket + (uint64_t{1} << l);
-          scan_->expected.emplace(child, l + 1);
-        }
-        changed = true;
-        break;  // expected mutated; restart the walk
+    // A reply from bucket b at level l proves b forwarded to child b + 2^l'
+    // for every l' in [assumed_b, l) — all of which exist (no merges: a
+    // bucket at level l has split at every level since its creation).
+    // Children sort after their parent, so one ascending walk sees them.
+    size_t answered = 0;
+    for (const auto& [bucket, assumed] : expected) {
+      auto rit = replies.find(bucket);
+      if (rit == replies.end()) continue;
+      ++answered;
+      for (uint32_t l = assumed; l < rit->second.new_level; ++l) {
+        expected.emplace(bucket + (uint64_t{1} << l), l + 1);
       }
     }
-    if (scan_->expanded.size() == scan_->expected.size()) break;
+    if (answered == expected.size()) break;
     if (now_us() > deadline) {
-      const size_t missing = scan_->expected.size() - scan_->expanded.size();
-      scan_.reset();
-      return Status::Unavailable("scan timed out with " +
-                                 std::to_string(missing) +
-                                 " bucket(s) unanswered");
+      core_.AbandonScan();
+      return Status::Unavailable(
+          "scan timed out with " + std::to_string(expected.size() - answered) +
+          " bucket(s) unanswered");
     }
     (void)PumpOnce(10);
   }
-
-  ScanResult result;
-  result.buckets_answered = scan_->replies.size();
-  // Ascending bucket order (std::map iteration), hits within a bucket
-  // already ascending — byte-identical to LhClient::Scan's ordering.
-  for (auto& [bucket, reply] : scan_->replies) {
-    for (sdds::WireRecord& r : reply.records) {
-      result.hits.push_back(std::move(r));
-    }
-  }
-  const uint64_t scan_elapsed_us = now_us() - op_start_us;
-  scan_us_->Record(scan_elapsed_us);
-  if (obs::kMetricsEnabled) {
-    // No single accepting reply; close the trace with a summary hop
-    // (key = buckets answered), mirroring LhClient::Scan.
-    trace_.Record({now_us(), trace_id, scan_->request_id,
-                   result.buckets_answered, site_, site_,
-                   static_cast<uint8_t>(MsgType::kScanReply),
-                   obs::HopKind::kOpDone});
-  }
-  const uint64_t slow = options_.lh.slow_op_us;
-  if (slow != 0 && scan_elapsed_us >= slow) {
-    obs::LogEvent("slow_op")
-        .Str("op", "Scan")
-        .U64("elapsed_us", scan_elapsed_us)
-        .U64("trace_id", trace_id)
-        .U64("buckets_answered", result.buckets_answered);
-  }
-  scan_.reset();
-  return result;
+  return core_.FinishScan(now_us());
 }
 
 }  // namespace essdds::net

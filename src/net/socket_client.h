@@ -4,26 +4,27 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "net/cluster.h"
 #include "net/socket_transport.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "sdds/client_core.h"
 #include "sdds/lh_options.h"
 #include "util/result.h"
 
 namespace essdds::net {
 
-/// An LH* client over real sockets. Speaks the same wire Messages and keeps
-/// the same client state as sdds::LhClient — a possibly stale file image
-/// repaired by piggybacked IAMs, timeout/bounded-exponential-backoff
-/// retransmission with stable request ids, stale-reply discard — but runs
-/// against real monotonic time and, unlike LhClient's one-op-at-a-time
-/// RoundTrip, pipelines: Submit*() returns an op token immediately and up
-/// to max_inflight key operations ride the connections concurrently, keyed
-/// by the request-id machinery. Await()/AwaitAll() drive the I/O loop.
+/// An LH* client over real sockets: a thin driver of sdds::ClientCore,
+/// which keeps the same client state as sdds::LhClient — a possibly stale
+/// file image repaired by piggybacked IAMs, timeout/bounded-exponential-
+/// backoff retransmission with stable request ids, stale-reply discard. The
+/// driver adds frames, the poll loop, real monotonic time and the window:
+/// unlike LhClient's one-op-at-a-time RoundTrip it pipelines — Submit*()
+/// returns an op token immediately and up to max_inflight key operations
+/// ride the connections concurrently, keyed by request id. Await()/
+/// AwaitAll() drive the I/O loop.
 ///
 /// Where LhClient aborts after max_request_retries (simulation bug = fatal),
 /// a socket cluster legitimately loses servers: an op whose retries exhaust
@@ -57,10 +58,7 @@ class SocketClient {
     uint64_t trace_id = 0;
   };
 
-  struct ScanResult {
-    std::vector<sdds::WireRecord> hits;  // ascending (bucket, key)
-    size_t buckets_answered = 0;
-  };
+  using ScanResult = sdds::ScanResult;
 
   explicit SocketClient(Options options);
   ~SocketClient();
@@ -80,7 +78,7 @@ class SocketClient {
   /// Drains the whole pipeline. Returns the first failure (after all ops
   /// finished either way).
   Status AwaitAll();
-  size_t inflight() const { return pending_.size(); }
+  size_t inflight() const { return core_.inflight(); }
 
   // --- blocking convenience (submit + await) ---
   /// True when an existing record was replaced.
@@ -97,11 +95,11 @@ class SocketClient {
   /// timeout; a dead server surfaces as Unavailable, never a hang.
   Result<ScanResult> Scan(uint64_t filter_id, Bytes filter_arg);
 
-  const sdds::FileImage& image() const { return image_; }
-  sdds::SiteId site() const { return site_; }
-  uint64_t retry_count() const { return retry_count_; }
-  uint64_t stale_reply_count() const { return stale_reply_count_; }
-  uint64_t iam_count() const { return iam_count_; }
+  const sdds::FileImage& image() const { return core_.image(); }
+  sdds::SiteId site() const { return core_.site(); }
+  uint64_t retry_count() const { return core_.retry_count(); }
+  uint64_t stale_reply_count() const { return core_.stale_reply_count(); }
+  uint64_t iam_count() const { return core_.iam_count(); }
 
   /// The client's own instruments (client.*_us latency histograms,
   /// client.retries / client.stale_replies / client.iams counters,
@@ -113,83 +111,37 @@ class SocketClient {
   const obs::TraceRing& trace() const { return trace_; }
   /// Trace id of the most recently submitted operation (0 with metrics
   /// compiled out).
-  uint64_t last_trace_id() const { return last_trace_id_; }
+  uint64_t last_trace_id() const { return core_.last_trace_id(); }
 
   /// Monotonic client clock, microseconds since construction.
   uint64_t now_us() const;
 
  private:
-  struct PendingOp {
-    sdds::MsgType type = sdds::MsgType::kInsert;
-    uint64_t key = 0;
-    Bytes value;  // retransmission copy
-    uint64_t deadline_us = 0;
-    uint32_t attempts = 0;
-    uint64_t trace_id = 0;
-    uint64_t start_us = 0;  // submit time; latency span base
-  };
-
-  uint64_t AddressFor(uint64_t key) const;
-  void ApplyIam(const sdds::Message& reply);
-  /// (Re)sends one pending op, re-addressed under the current image.
-  void SendOp(uint64_t id, const PendingOp& op);
-  /// Frames `msg` onto the connection serving bucket `address`, redialing a
-  /// dead connection once per call.
-  void SendToBucket(uint64_t address, const sdds::Message& msg);
+  /// Frames `msg` onto the connection of the host serving msg.to.
+  void Send(const sdds::Message& msg);
+  /// The connection to `host`, redialing a dead one.
   Conn* HostConn(size_t host);
   Result<uint64_t> SubmitKeyOp(sdds::MsgType type, uint64_t key, Bytes value);
   /// One poll turn over all connections; decodes and dispatches replies.
   bool PumpOnce(int timeout_ms);
   /// Retransmits timed-out ops; fails those whose retries exhausted.
   void CheckTimeouts();
-  void HandleReply(sdds::Message msg);
-  uint64_t BackoffDeadline(uint32_t attempts) const;
-  /// Allocates a cluster-unique trace id: the client's site id in the high
-  /// word, a local sequence in the low — two clients can never collide.
-  /// Always 0 with metrics compiled out (the wire's untraced sentinel).
-  uint64_t NextTraceId();
-  void Hop(obs::HopKind kind, const sdds::Message& msg);
-  obs::Histogram& LatencyHistogramFor(sdds::MsgType type);
+  /// Parks a finished op for its Await().
+  void Complete(sdds::ClientCore::Completion done);
 
   Options options_;
-  sdds::SiteId site_;
-  sdds::FileImage image_;
   uint64_t start_ns_ = 0;
-  uint64_t next_request_id_ = 1;
-  uint64_t retry_count_ = 0;
-  uint64_t stale_reply_count_ = 0;
-  uint64_t iam_count_ = 0;
-  uint64_t next_trace_seq_ = 0;
-  uint64_t last_trace_id_ = 0;
-
   obs::MetricRegistry registry_;
   obs::TraceRing trace_;
-  obs::Histogram* insert_us_ = nullptr;
-  obs::Histogram* lookup_us_ = nullptr;
-  obs::Histogram* delete_us_ = nullptr;
-  obs::Histogram* scan_us_ = nullptr;
-  obs::Counter* retries_counter_ = nullptr;
-  obs::Counter* stale_counter_ = nullptr;
-  obs::Counter* iam_counter_ = nullptr;
+  sdds::ClientCore core_;
   obs::Counter* corrupt_counter_ = nullptr;
 
   std::vector<std::unique_ptr<Conn>> conns_;  // by host index
   Poller poller_;
 
-  std::map<uint64_t, PendingOp> pending_;
   /// Completed ops awaiting their Await(); value is the result or the
   /// failure (retries exhausted).
   std::map<uint64_t, Result<OpResult>> done_;
-
-  // Active scan state (one at a time; empty pipeline enforced).
-  struct ScanState {
-    uint64_t request_id = 0;
-    /// bucket -> assumed level it was (or will be) scanned under.
-    std::map<uint64_t, uint32_t> expected;
-    std::map<uint64_t, sdds::Message> replies;
-    std::set<uint64_t> expanded;
-  };
-  std::unique_ptr<ScanState> scan_;
 };
 
 }  // namespace essdds::net

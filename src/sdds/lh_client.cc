@@ -1,197 +1,54 @@
 #include "sdds/lh_client.h"
 
-#include <algorithm>
+#include <string>
 #include <utility>
-
-#include "obs/log.h"
+#include <vector>
 
 namespace essdds::sdds {
 
 LhClient::LhClient(LhRuntime* runtime, Network* net)
-    : runtime_(runtime), net_(net) {
-  ESSDDS_CHECK(runtime != nullptr && net != nullptr);
-  site_ = net_->Register(this);
-  obs::MetricRegistry& m = net_->metrics();
-  insert_us_ = &m.histogram("client.insert_us");
-  lookup_us_ = &m.histogram("client.lookup_us");
-  delete_us_ = &m.histogram("client.delete_us");
-  scan_us_ = &m.histogram("client.scan_us");
-  retries_counter_ = &m.counter("client.retries");
-  stale_counter_ = &m.counter("client.stale_replies");
-}
-
-obs::Histogram& LhClient::LatencyHistogramFor(MsgType type) {
-  switch (type) {
-    case MsgType::kInsert:
-      return *insert_us_;
-    case MsgType::kLookup:
-      return *lookup_us_;
-    case MsgType::kDelete:
-      return *delete_us_;
-    default:
-      return *scan_us_;
-  }
-}
-
-uint64_t LhClient::AddressFor(uint64_t key) const {
-  // LH* client addressing: h_{i'} first, stepped up to h_{i'+1} for buckets
-  // the image says have already split.
-  const uint64_t key_image = LhKeyImage(key, runtime_->options());
-  uint64_t a = key_image & ((uint64_t{1} << image_.level) - 1);
-  if (a < image_.split_pointer) {
-    a = key_image & ((uint64_t{1} << (image_.level + 1)) - 1);
-  }
-  return a;
-}
+    : net_(net),
+      core_(net->Register(this), runtime->CoordinatorSite(),
+            [runtime](uint64_t bucket) { return runtime->SiteOfBucket(bucket); },
+            runtime->options(), net->metrics(), net->trace(),
+            /*retransmit=*/net->asynchronous()) {}
 
 void LhClient::OnMessage(Message& msg, Network& net) {
   (void)net;
-  if (outstanding_.find(msg.request_id) == outstanding_.end()) {
-    // A reply for a request that already completed: the late original of a
-    // retried request, or a fault-injected duplicate. Idempotent servers
-    // make re-execution harmless; the straggler reply is just noise.
-    ++stale_reply_count_;
-    stale_counter_->Increment();
-    net_->TraceHop(obs::HopKind::kStale, msg);
-    return;
-  }
-  pending_[msg.request_id].push_back(std::move(msg));
-}
-
-void LhClient::ApplyIam(const Message& reply) {
-  if (!reply.has_iam) return;
-  ++iam_count_;
-  // LNS96 image adjustment: i' <- j - 1, n' <- a + 1 (wrapping), where j and
-  // a are the level and address of the first bucket that had to forward.
-  FileImage candidate;
-  candidate.level = reply.iam_level >= 1 ? reply.iam_level - 1 : 0;
-  candidate.split_pointer = static_cast<uint32_t>(reply.iam_address) + 1;
-  if (candidate.split_pointer >= (uint32_t{1} << candidate.level)) {
-    candidate.split_pointer = 0;
-    ++candidate.level;
-  }
-  // The image may only grow; a concurrent smarter client could otherwise
-  // regress it.
-  if (candidate.BucketCount() > image_.BucketCount()) {
-    image_ = candidate;
+  if (auto done = core_.OnReply(std::move(msg), net_->now_us())) {
+    completed_ = std::move(done);
   }
 }
 
 Message LhClient::RoundTrip(MsgType type, uint64_t key, Bytes value) {
-  Message req;
-  req.type = type;
-  req.from = site_;
-  req.reply_to = site_;
-  req.request_id = next_request_id_++;
-  req.key = key;
-  req.value = std::move(value);
-  req.trace_id = net_->NextTraceId();
-  last_trace_id_ = req.trace_id;
+  Message req = core_.StartKeyOp(type, key, std::move(value), net_->now_us());
   const uint64_t id = req.request_id;
-  outstanding_.insert(id);
-
-  const bool async = net_->asynchronous();
-  Message resend;
-  if (async) resend = req;  // retransmission copy (payload included)
-  const uint64_t address = AddressFor(key);
-  // The computed address rides along so a recovery proxy standing in for a
-  // dead site can route degraded-mode requests without the client's image.
-  req.bucket_to_split = address;
-  req.to = runtime_->SiteOfBucket(address);
-
-  // Latency span: first send to accepted reply, in virtual microseconds —
-  // retries, forwards, and parked deliveries all land inside it.
-  const uint64_t op_start_us = net_->now_us();
-  net_->TraceHop(obs::HopKind::kOpStart, req);
-  const uint64_t timeout = runtime_->options().request_timeout_us;
-  const uint64_t start_us = net_->now_us();
-  // Saturating: a deadline must never wrap into the past.
-  uint64_t deadline =
-      timeout > UINT64_MAX - start_us ? UINT64_MAX : start_us + timeout;
   net_->Send(std::move(req));
-
-  uint32_t attempts = 0;
-  for (;;) {
-    auto it = pending_.find(id);
-    if (it != pending_.end() && !it->second.empty()) {
-      Message reply = std::move(it->second.front());
-      pending_.erase(it);
-      outstanding_.erase(id);
-      ApplyIam(reply);
-      const uint64_t elapsed_us = net_->now_us() - op_start_us;
-      LatencyHistogramFor(type).Record(elapsed_us);
-      net_->TraceHop(obs::HopKind::kOpDone, reply);
-      const uint64_t slow = runtime_->options().slow_op_us;
-      if (slow != 0 && elapsed_us >= slow) {
-        // Structured breadcrumb for ops past the budget: the trace id makes
-        // the op followable with `essdds_admin trace` / AssembleTrace.
-        obs::LogEvent("slow_op")
-            .Str("op", MsgTypeToString(type))
-            .U64("key", key)
-            .U64("elapsed_us", elapsed_us)
-            .U64("trace_id", last_trace_id_)
-            .U64("attempts", attempts);
-      }
-      return reply;
-    }
-
-    const bool progressed = net_->Pump();
-    // The pump that crossed the deadline may be the one that delivered the
-    // reply — take it before considering a retry.
-    if (pending_.find(id) != pending_.end()) continue;
-    if (progressed && net_->now_us() <= deadline) continue;
-    if (!progressed) {
+  while (!completed_.has_value()) {
+    std::vector<ClientCore::Expiry> overdue;
+    if (net_->Pump()) {
+      // The pump that crossed the deadline may be the one that delivered
+      // the reply; a completed op is no longer overdue.
+      overdue = core_.Tick(net_->now_us());
+    } else {
       // Idle without a reply: on a synchronous network that is a protocol
       // bug (the reply arrives inside Send); on an event network the
       // request or its reply was provably lost.
-      ESSDDS_CHECK(async)
+      ESSDDS_CHECK(net_->asynchronous())
           << "no reply for request " << id << " on a synchronous network";
+      overdue.push_back(core_.Expire(id, net_->now_us()));
     }
-    // Otherwise: past the deadline with traffic still flowing — retry.
-
-    ++attempts;
-    ESSDDS_CHECK(attempts <= runtime_->options().max_request_retries)
-        << "request " << id << " (" << MsgTypeToString(type) << " key " << key
-        << ") unanswered after " << attempts << " attempts at t="
-        << net_->now_us() << "us";
-    ++retry_count_;
-    net_->NoteRetry();
-    retries_counter_->Increment();
-    Message again = resend;
-    const uint64_t retry_address = AddressFor(key);
-    again.bucket_to_split = retry_address;
-    again.to = runtime_->SiteOfBucket(retry_address);
-    net_->TraceHop(obs::HopKind::kRetry, again);
-    // High-availability mode: a bucket that keeps timing out may be hosted
-    // on a dead site. Report the RECORD KEY we cannot get served — the
-    // coordinator probes every bucket on the key's forwarding chain (this
-    // client's address may be stale and the dead hop anywhere on it) and
-    // declares only probes that stay unanswered; a merely slow site answers
-    // the ping and nothing happens.
-    if (runtime_->options().parity_group_size > 0 &&
-        attempts >= runtime_->options().report_dead_after_retries) {
-      Message report;
-      report.type = MsgType::kDeadSite;
-      report.from = site_;
-      report.to = runtime_->CoordinatorSite();
-      report.key = key;
-      report.trace_id = again.trace_id;
-      net_->Send(std::move(report));
+    for (ClientCore::Expiry& e : overdue) {
+      ESSDDS_CHECK(!e.failed.has_value())
+          << e.failed->reply.status().ToString() << " at t=" << net_->now_us()
+          << "us";
+      net_->NoteRetry();
+      for (Message& m : e.sends) net_->Send(std::move(m));
     }
-    // Bounded exponential backoff: double the patience each attempt, up to
-    // 2^6 timeouts. Both the shift and the deadline addition saturate — a
-    // huge configured timeout must pin the deadline at the far future, not
-    // wrap uint64_t into the past and turn backoff into a hot retry loop.
-    const uint32_t shift = std::min<uint32_t>(attempts, 6);
-    uint64_t backoff = timeout;
-    if (shift > 0) {
-      backoff = timeout > (UINT64_MAX >> shift) ? UINT64_MAX
-                                                : timeout << shift;
-    }
-    const uint64_t now = net_->now_us();
-    deadline = backoff > UINT64_MAX - now ? UINT64_MAX : now + backoff;
-    net_->Send(std::move(again));
   }
+  Result<Message> reply = std::move(completed_->reply);
+  completed_.reset();
+  return std::move(reply).value();
 }
 
 bool LhClient::Insert(uint64_t key, Bytes value) {
@@ -219,31 +76,15 @@ Status LhClient::Delete(uint64_t key) {
 }
 
 LhClient::ScanResult LhClient::Scan(uint64_t filter_id, Bytes filter_arg) {
-  // Quiescence barrier (event networks; no-op synchronously): complete any
-  // in-flight splits/merges so the fan-out sees a stable extent. Without
-  // it a split racing the scan can move records from an already-scanned
-  // bucket into a not-yet-created one — hits lost with no fault injected.
+  // Termination here is quiescence, not the socket tier's level rule: that
+  // rule assumes every child of an answering bucket exists, but merges
+  // dissolve children, and the pool scan mode defers replies to
+  // DrainDeferredScans. First complete any in-flight splits/merges so the
+  // fan-out sees a stable extent (event networks; no-op synchronously) —
+  // otherwise a split racing the scan can move records from an
+  // already-scanned bucket into a not-yet-created one.
   net_->PumpUntilIdle();
-
-  const uint64_t id = next_request_id_++;
-  const uint64_t trace_id = net_->NextTraceId();
-  last_trace_id_ = trace_id;
-  outstanding_.insert(id);
-  const uint64_t extent = image_.BucketCount();
-  const uint64_t op_start_us = net_->now_us();
-  for (uint64_t a = 0; a < extent; ++a) {
-    Message req;
-    req.type = MsgType::kScan;
-    req.from = site_;
-    req.reply_to = site_;
-    req.request_id = id;
-    req.trace_id = trace_id;
-    req.key = a;  // addressed bucket, for degraded-mode proxy routing
-    req.filter_id = filter_id;
-    req.filter_arg = filter_arg;
-    req.assumed_level = image_.AssumedLevel(a);
-    req.to = runtime_->SiteOfBucket(a);
-    if (a == 0) net_->TraceHop(obs::HopKind::kOpStart, req);
+  for (Message& req : core_.StartScan(filter_id, filter_arg, net_->now_us())) {
     net_->Send(std::move(req));
   }
   // Deliver the fan-out (and any forwards to buckets the image missed);
@@ -255,52 +96,7 @@ LhClient::ScanResult LhClient::Scan(uint64_t filter_id, Bytes filter_arg) {
   net_->DrainDeferredScans();
   // Event network: the drained replies were scheduled, not delivered.
   net_->PumpUntilIdle();
-  outstanding_.erase(id);
-
-  ScanResult result;
-  auto it = pending_.find(id);
-  if (it != pending_.end()) {
-    // Collect in ascending bucket order: the serial mode's depth-first
-    // arrival order and the parallel mode's drain order then produce
-    // byte-identical results.
-    std::stable_sort(it->second.begin(), it->second.end(),
-                     [](const Message& a, const Message& b) {
-                       return a.key < b.key;
-                     });
-    // A stale-ahead image (possible after merges) can deliver the scan to a
-    // folded bucket more than once; keep one reply per bucket.
-    std::set<uint64_t> buckets_seen;
-    for (Message& reply : it->second) {
-      ESSDDS_CHECK(reply.type == MsgType::kScanReply);
-      if (!buckets_seen.insert(reply.key).second) continue;
-      for (WireRecord& r : reply.records) {
-        result.hits.push_back(std::move(r));
-      }
-    }
-    result.buckets_answered = buckets_seen.size();
-    pending_.erase(it);
-  }
-  const uint64_t scan_elapsed_us = net_->now_us() - op_start_us;
-  scan_us_->Record(scan_elapsed_us);
-  const uint64_t slow = runtime_->options().slow_op_us;
-  if (slow != 0 && scan_elapsed_us >= slow) {
-    obs::LogEvent("slow_op")
-        .Str("op", "Scan")
-        .U64("elapsed_us", scan_elapsed_us)
-        .U64("trace_id", trace_id)
-        .U64("buckets_answered", result.buckets_answered);
-  }
-  // The scan has no single accepting reply; close the trace with a
-  // summary hop (key = buckets answered).
-  Message done;
-  done.type = MsgType::kScanReply;
-  done.from = site_;
-  done.to = site_;
-  done.request_id = id;
-  done.trace_id = trace_id;
-  done.key = result.buckets_answered;
-  net_->TraceHop(obs::HopKind::kOpDone, done);
-  return result;
+  return core_.FinishScan(net_->now_us());
 }
 
 }  // namespace essdds::sdds

@@ -2,39 +2,30 @@
 #define ESSDDS_SDDS_LH_CLIENT_H_
 
 #include <cstdint>
-#include <map>
-#include <set>
-#include <vector>
+#include <optional>
 
+#include "sdds/client_core.h"
 #include "sdds/lh_options.h"
 #include "sdds/network.h"
 #include "util/result.h"
 
 namespace essdds::sdds {
 
-/// An LH* client application view. Each client keeps its own, possibly
-/// stale, image of the file extent; mis-addressed requests are forwarded by
-/// the servers (at most two hops) and the client's image is repaired by the
-/// piggybacked image adjustment messages (IAM). Clients never talk to the
+/// An LH* client application view over a simulated Network: a thin driver
+/// of ClientCore, which keeps the client's own, possibly stale, image of the
+/// file extent (mis-addressed requests are forwarded by the servers, at
+/// most two hops, and the image is repaired by piggybacked IAMs), the
+/// retransmission state and the instruments. Clients never talk to the
 /// coordinator — that is the SDDS autonomy property.
 ///
-/// On an asynchronous (event) network the client additionally owns request
-/// robustness: every key operation keeps a retransmission copy, pumps the
-/// network until its reply arrives, and resends on timeout with bounded
-/// exponential backoff. Retransmitted requests reuse their request id, so
-/// whichever delivery answers first wins; late or duplicated replies to a
-/// request already completed are discarded as stale (the operations are
-/// idempotent at the servers, so re-execution is harmless).
+/// The driver supplies the virtual clock and pumps the network until each
+/// operation's reply arrives. On an event network that includes
+/// retransmission: an overdue request is resent, and an idle network
+/// without the reply means it was lost and is resent at once. Exhausting
+/// the retries aborts — in simulation a lost message is a bug.
 class LhClient : public Site {
  public:
-  /// Result of a parallel scan. Hits are in ascending (bucket, key) order —
-  /// deterministic and identical between the serial and thread-pool scan
-  /// modes.
-  struct ScanResult {
-    std::vector<WireRecord> hits;
-    /// Number of buckets that answered (== true file extent at scan time).
-    size_t buckets_answered = 0;
-  };
+  using ScanResult = sdds::ScanResult;
 
   LhClient(LhRuntime* runtime, Network* net);
 
@@ -59,68 +50,34 @@ class LhClient : public Site {
   /// is never dropped (see FaultEligible), so every live bucket answers.
   ScanResult Scan(uint64_t filter_id, Bytes filter_arg);
 
-  const FileImage& image() const { return image_; }
-  SiteId site() const { return site_; }
+  const FileImage& image() const { return core_.image(); }
+  SiteId site() const { return core_.site(); }
 
   /// Number of image adjustments this client has received (a measure of how
   /// often it was stale).
-  uint64_t iam_count() const { return iam_count_; }
+  uint64_t iam_count() const { return core_.iam_count(); }
 
   /// Requests this client retransmitted after a timeout or a detected loss.
-  uint64_t retry_count() const { return retry_count_; }
+  uint64_t retry_count() const { return core_.retry_count(); }
 
   /// Replies discarded because their request had already completed (late
   /// originals overtaken by a retry, or fault-injected duplicates).
-  uint64_t stale_reply_count() const { return stale_reply_count_; }
+  uint64_t stale_reply_count() const { return core_.stale_reply_count(); }
 
   /// Trace id of the most recently started operation (0 with metrics
   /// compiled out). Tests use it to pull one op's causal hop chain out of
   /// the network's trace ring; the shell's `trace last` does the same.
-  uint64_t last_trace_id() const { return last_trace_id_; }
+  uint64_t last_trace_id() const { return core_.last_trace_id(); }
 
  private:
-  /// LH* client addressing with the local image.
-  uint64_t AddressFor(uint64_t key) const;
-
-  /// Sends a key request and pumps the network until its reply arrives,
-  /// retransmitting on timeout/loss (asynchronous networks). On a
-  /// synchronous network the reply is already waiting when Send returns.
+  /// Sends a key request and pumps the network until its reply arrives. On
+  /// a synchronous network the reply is already waiting when Send returns.
   Message RoundTrip(MsgType type, uint64_t key, Bytes value);
 
-  void ApplyIam(const Message& reply);
-
-  /// The latency histogram measuring `type` ops (client.{insert,lookup,
-  /// delete}_us).
-  obs::Histogram& LatencyHistogramFor(MsgType type);
-
-  LhRuntime* runtime_;
   Network* net_;
-  SiteId site_;
-  FileImage image_;
-  uint64_t next_request_id_ = 1;
-  uint64_t iam_count_ = 0;
-  uint64_t retry_count_ = 0;
-  uint64_t stale_reply_count_ = 0;
-  uint64_t last_trace_id_ = 0;
-
-  // Cached instruments (resolved once at construction; see MetricRegistry's
-  // thread contract). Latencies are in virtual microseconds, spanning first
-  // send to accepted reply — retries, forwards, and parked deliveries all
-  // happen inside the span. Shared registry-wide: several clients on one
-  // network fold into the same distributions.
-  obs::Histogram* insert_us_;
-  obs::Histogram* lookup_us_;
-  obs::Histogram* delete_us_;
-  obs::Histogram* scan_us_;
-  obs::Counter* retries_counter_;
-  obs::Counter* stale_counter_;
-
-  /// Request ids awaiting replies; anything else delivered here is stale.
-  std::set<uint64_t> outstanding_;
-
-  // Delivered replies park here until the requester picks them up; scans
-  // accumulate several replies under one request id.
-  std::map<uint64_t, std::vector<Message>> pending_;
+  ClientCore core_;
+  /// The running op's completion, parked by OnMessage for RoundTrip.
+  std::optional<ClientCore::Completion> completed_;
 };
 
 }  // namespace essdds::sdds

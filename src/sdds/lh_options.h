@@ -144,9 +144,12 @@ struct LhOptions {
   /// retransmits immediately (the request was provably lost).
   uint64_t request_timeout_us = 10'000'000;
 
-  /// Retransmissions per request before the client gives up (aborts with a
-  /// diagnostic). Bounded exponential backoff doubles the timeout each
-  /// attempt up to 2^6.
+  /// Retransmissions per request before the client gives up (LhClient
+  /// aborts with a diagnostic; the socket client fails the op with
+  /// Unavailable). Bounded exponential backoff doubles the timeout each
+  /// attempt up to 2^6. With parity groups configured, a request still
+  /// unanswered after ClientCore::kReportDeadAfterRetries retransmissions is
+  /// reported to the coordinator (kDeadSite) while the client keeps trying.
   uint32_t max_request_retries = 16;
 
   /// Directory for durable encrypted-at-rest bucket logs (src/persist). When
@@ -190,13 +193,6 @@ struct LhOptions {
   /// site losses (records reconstructed bit-for-bit from the survivors).
   /// Read only when parity_group_size > 0. Requires k + m <= 256.
   size_t parity_count = 1;
-
-  /// Client-side failure detection: after this many unanswered
-  /// retransmissions of one request the client reports the addressed
-  /// bucket to the coordinator (kDeadSite) — and keeps retrying; the
-  /// coordinator verifies with a ping probe before declaring the site dead.
-  /// Only active when parity is enabled on an event network.
-  uint32_t report_dead_after_retries = 2;
 
   /// Coordinator probe patience: a pinged bucket that stays silent for this
   /// much virtual time is re-pinged; after ping_attempts unanswered pings

@@ -154,13 +154,6 @@ class Network {
   obs::TraceRing& trace() { return trace_; }
   const obs::TraceRing& trace() const { return trace_; }
 
-  /// Allocates the trace id for a new client operation. Always 0 with
-  /// metrics compiled out: the wire field then stays at its untraced
-  /// default, keeping encodings identical across ON/OFF builds.
-  uint64_t NextTraceId() {
-    return obs::kMetricsEnabled ? ++next_trace_id_ : 0;
-  }
-
   /// Records one hop of `msg` in the trace ring at the current virtual
   /// time. Called on the driver thread only (network implementations at
   /// delivery/fault decisions, clients at op boundaries).
@@ -247,7 +240,6 @@ class Network {
 
   obs::MetricRegistry metrics_;
   obs::TraceRing trace_;
-  uint64_t next_trace_id_ = 0;
   // Cached per-site instruments, indexed by site id and grown lazily on
   // first send from that site.
   std::vector<obs::Counter*> site_msgs_sent_;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <tuple>
 
@@ -18,10 +19,15 @@ Bytes Hex(const std::string& s) {
 }
 
 struct AesVector {
+  std::string name;
   std::string key;
   std::string plaintext;
   std::string ciphertext;
 };
+
+// Prints the vector's label, so test names do not depend on where the
+// strings happen to live in memory.
+void PrintTo(const AesVector& v, std::ostream* os) { *os << v.name; }
 
 class AesKnownAnswerTest : public ::testing::TestWithParam<AesVector> {};
 
@@ -29,16 +35,18 @@ class AesKnownAnswerTest : public ::testing::TestWithParam<AesVector> {};
 INSTANTIATE_TEST_SUITE_P(
     Fips197, AesKnownAnswerTest,
     ::testing::Values(
-        AesVector{"2b7e151628aed2a6abf7158809cf4f3c",
+        AesVector{"AppendixB_Aes128", "2b7e151628aed2a6abf7158809cf4f3c",
                   "3243f6a8885a308d313198a2e0370734",
                   "3925841d02dc09fbdc118597196a0b32"},
-        AesVector{"000102030405060708090a0b0c0d0e0f",
+        AesVector{"AppendixC1_Aes128", "000102030405060708090a0b0c0d0e0f",
                   "00112233445566778899aabbccddeeff",
                   "69c4e0d86a7b0430d8cdb78070b4c55a"},
-        AesVector{"000102030405060708090a0b0c0d0e0f1011121314151617",
+        AesVector{"AppendixC2_Aes192",
+                  "000102030405060708090a0b0c0d0e0f1011121314151617",
                   "00112233445566778899aabbccddeeff",
                   "dda97ca4864cdfe06eaf70a0ec0d7191"},
         AesVector{
+            "AppendixC3_Aes256",
             "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f",
             "00112233445566778899aabbccddeeff",
             "8ea2b7ca516745bfeafc49904b496089"}));

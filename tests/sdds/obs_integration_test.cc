@@ -54,6 +54,26 @@ TEST(ObsIntegrationTest, PerOpLatencyHistogramsPopulate) {
             m.histogram("client.lookup_us").Summarize().p50);
 }
 
+TEST(ObsIntegrationTest, ClientIamCounterMatchesIamCount) {
+  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
+  LhOptions o;
+  o.bucket_capacity = 4;
+  LhSystem sys(o);
+  LhClient* writer = sys.NewClient();
+  for (uint64_t k = 0; k < 200; ++k) writer->Insert(k, ToBytes("v"));
+  ASSERT_GT(sys.bucket_count(), 8u);
+  obs::MetricRegistry& m = sys.network().metrics();
+  EXPECT_EQ(m.counter("client.iams").value(), writer->iam_count());
+
+  // A fresh client starts with a one-bucket image: stale, repaired by IAMs
+  // on its forwarded lookups, and each repair lands in the shared counter.
+  sys.network().ResetStats();
+  LhClient* reader = sys.NewClient();
+  for (uint64_t k = 0; k < 200; ++k) ASSERT_TRUE(reader->Lookup(k).ok());
+  EXPECT_GT(reader->iam_count(), 0u);
+  EXPECT_EQ(m.counter("client.iams").value(), reader->iam_count());
+}
+
 TEST(ObsIntegrationTest, PerSiteSendCountersSumToNetworkTotals) {
   if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   LhSystem sys(EventOptions(/*seed=*/7, /*drop_prob=*/0.0));

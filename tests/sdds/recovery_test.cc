@@ -53,7 +53,6 @@ LhOptions RecoveryOptions(uint64_t seed, size_t k = 4, size_t m = 1) {
   // max_latency_us = 4ms) or a live-but-distant bucket gets falsely
   // declared dead — and a false declaration beyond m is unrecoverable.
   o.request_timeout_us = 3'000;
-  o.report_dead_after_retries = 2;
   o.ping_timeout_us = 6'000;
   return o;
 }
