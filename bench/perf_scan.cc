@@ -30,6 +30,7 @@
 #include "core/matcher.h"
 #include "core/pipeline.h"
 #include "obs/metrics.h"
+#include "sdds/column_store.h"
 #include "sdds/scan_executor.h"
 #include "util/json_writer.h"
 #include "util/random.h"
@@ -176,16 +177,16 @@ struct ExecutorNumbers {
 #if ESSDDS_THREADS
 
 /// Synthetic scan batch over `buckets`; fresh tasks each call (a real drain
-/// rebuilds its batch too), the record maps are shared and read-only.
+/// rebuilds its batch too), the record stores are shared and read-only.
 std::vector<sdds::ScanTask> MakeExecutorBatch(
-    const std::vector<std::map<uint64_t, Bytes>>& buckets,
+    const std::vector<sdds::ColumnStore>& buckets,
     const sdds::ScanFilter& filter) {
   std::vector<sdds::ScanTask> tasks;
   tasks.reserve(buckets.size());
   for (size_t b = 0; b < buckets.size(); ++b) {
     sdds::ScanTask task;
     task.bucket = b;
-    task.records = &buckets[b];
+    task.columns = buckets[b].slice();
     task.filter = &filter;
     tasks.push_back(std::move(task));
   }
@@ -216,12 +217,14 @@ ExecutorNumbers RunExecutorContrast(size_t threads) {
   out.batches = 300;
 
   Rng rng(20060401);
-  std::vector<std::map<uint64_t, Bytes>> buckets(out.buckets);
+  std::vector<sdds::ColumnStore> buckets(out.buckets);
   for (auto& bucket : buckets) {
-    while (bucket.size() < out.records_per_bucket) {
+    std::map<uint64_t, Bytes> records;
+    while (records.size() < out.records_per_bucket) {
       const uint64_t k = rng.Next();
-      bucket[k] = ToBytes("record-" + std::to_string(k));
+      records[k] = ToBytes("record-" + std::to_string(k));
     }
+    bucket.Adopt(records);
   }
   // Representative per-record work: touch every value byte (a checksum
   // standing in for substring evaluation), hit on the low bits.

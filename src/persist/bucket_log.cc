@@ -113,20 +113,6 @@ Bytes BuildFrame(const Bytes& ciphertext) {
   return frame;
 }
 
-Bytes BuildCheckpointBody(uint32_t level, bool retired,
-                          const std::map<uint64_t, Bytes>& records) {
-  WireWriter w;
-  w.WriteU8(static_cast<uint8_t>(LogRecordType::kCheckpoint));
-  w.WriteU32(level);
-  w.WriteBool(retired);
-  w.WriteU32(static_cast<uint32_t>(records.size()));
-  for (const auto& [key, value] : records) {
-    w.WriteU64(key);
-    w.WriteLengthPrefixed(value);
-  }
-  return w.TakeBuffer();
-}
-
 bool ReadWholeFile(const std::string& path, Bytes* out) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return false;
@@ -273,8 +259,8 @@ std::unique_ptr<BucketLog> BucketLog::Open(std::string path, uint64_t bucket,
     // a later append.
     log->create_level_ = existing.level;
     log->epoch_ = existing.epoch;  // RewriteAsCheckpoint bumps to +1
-    if (!log->RewriteAsCheckpoint(existing.level, existing.retired,
-                                  existing.records)) {
+    if (!log->RewriteAsCheckpoint(CheckpointBody(
+            existing.level, existing.retired, existing.records))) {
       return log;  // crashed() is set; caller decides
     }
     return log;
@@ -338,20 +324,6 @@ bool BucketLog::AppendEraseBulk(uint32_t level,
   return AppendFrame(w.TakeBuffer());
 }
 
-void BucketLog::MaybeCheckpoint(uint32_t level, bool retired,
-                                const std::map<uint64_t, Bytes>& records) {
-  if (crashed_) return;
-  if (file_bytes_ < checkpoint_min_bytes_) return;
-  if (file_bytes_ < 2 * base_bytes_) return;
-  RewriteAsCheckpoint(level, retired, records);
-}
-
-bool BucketLog::Checkpoint(uint32_t level, bool retired,
-                           const std::map<uint64_t, Bytes>& records) {
-  if (crashed_) return false;
-  return RewriteAsCheckpoint(level, retired, records);
-}
-
 bool BucketLog::AppendFrame(Bytes body) {
   if (crashed_ || file_ == nullptr) return false;
   if (!CtrCrypt(file_key_, epoch_, next_frame_, body.data(), body.size())) {
@@ -412,13 +384,11 @@ bool BucketLog::WriteHeader(std::FILE* f, uint32_t epoch) {
   return WriteRaw(f, head.data(), head.size());
 }
 
-bool BucketLog::RewriteAsCheckpoint(uint32_t level, bool retired,
-                                    const std::map<uint64_t, Bytes>& records) {
+bool BucketLog::RewriteAsCheckpoint(Bytes body) {
   // Write the checkpoint image to a side file first, then atomically rename
   // it over the log: a crash at any point leaves either the complete old
   // log or the complete new one.
   const uint32_t new_epoch = epoch_ + 1;
-  Bytes body = BuildCheckpointBody(level, retired, records);
   if (!CtrCrypt(file_key_, new_epoch, 0, body.data(), body.size())) {
     crashed_ = true;
     return false;

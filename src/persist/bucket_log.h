@@ -175,15 +175,26 @@ class BucketLog {
   bool AppendEraseBulk(uint32_t level, const std::vector<uint64_t>& keys);
 
   /// Checkpoint policy hook; call after appends with the bucket's live
-  /// state. Rewrites the log as a single checkpoint frame when the file
+  /// records. Rewrites the log as a single checkpoint frame when the file
   /// has outgrown both the configured floor and 2x its size at the last
-  /// checkpoint.
-  void MaybeCheckpoint(uint32_t level, bool retired,
-                       const std::map<uint64_t, Bytes>& records);
+  /// checkpoint; `records` is read only then, so the call costs O(1) on
+  /// every other mutation. `records` is any ascending-key range whose
+  /// elements destructure as [key, value].
+  template <typename Records>
+  void MaybeCheckpoint(uint32_t level, bool retired, const Records& records) {
+    if (crashed_ || file_bytes_ < checkpoint_min_bytes_ ||
+        file_bytes_ < 2 * base_bytes_) {
+      return;
+    }
+    RewriteAsCheckpoint(CheckpointBody(level, retired, records));
+  }
 
-  /// Unconditional checkpoint rewrite (tests, retirement compaction).
-  bool Checkpoint(uint32_t level, bool retired,
-                  const std::map<uint64_t, Bytes>& records);
+  /// Unconditional checkpoint rewrite (tests, rebuild installation).
+  template <typename Records>
+  bool Checkpoint(uint32_t level, bool retired, const Records& records) {
+    if (crashed_) return false;
+    return RewriteAsCheckpoint(CheckpointBody(level, retired, records));
+  }
 
   /// True once a write tore (fault hook or I/O error): the site backed by
   /// this log is dead and must not ack or serve.
@@ -224,8 +235,24 @@ class BucketLog {
   bool WriteRaw(std::FILE* f, const uint8_t* p, size_t n);
 
   bool WriteHeader(std::FILE* f, uint32_t epoch);
-  bool RewriteAsCheckpoint(uint32_t level, bool retired,
-                           const std::map<uint64_t, Bytes>& records);
+
+  /// Plaintext kCheckpoint frame body: the full bucket snapshot.
+  template <typename Records>
+  static Bytes CheckpointBody(uint32_t level, bool retired,
+                              const Records& records) {
+    WireWriter w;
+    w.WriteU8(static_cast<uint8_t>(LogRecordType::kCheckpoint));
+    w.WriteU32(level);
+    w.WriteBool(retired);
+    w.WriteU32(static_cast<uint32_t>(records.size()));
+    for (const auto& [key, value] : records) {
+      w.WriteU64(key);
+      w.WriteLengthPrefixed(value);
+    }
+    return w.TakeBuffer();
+  }
+
+  bool RewriteAsCheckpoint(Bytes body);
 
   std::string path_;
   uint64_t bucket_ = 0;
@@ -271,8 +298,10 @@ class BucketLog {
     return true;
   }
   bool AppendEraseBulk(uint32_t, const std::vector<uint64_t>&) { return true; }
-  void MaybeCheckpoint(uint32_t, bool, const std::map<uint64_t, Bytes>&) {}
-  bool Checkpoint(uint32_t, bool, const std::map<uint64_t, Bytes>&) {
+  template <typename Records>
+  void MaybeCheckpoint(uint32_t, bool, const Records&) {}
+  template <typename Records>
+  bool Checkpoint(uint32_t, bool, const Records&) {
     return true;
   }
   bool crashed() const { return false; }

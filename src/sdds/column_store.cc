@@ -7,10 +7,10 @@
 
 namespace essdds::sdds {
 
-size_t ColumnStore::Find(uint64_t key) const {
+std::optional<ByteSpan> ColumnStore::Lookup(uint64_t key) const {
   auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
-  if (it == keys_.end() || *it != key) return keys_.size();
-  return static_cast<size_t>(it - keys_.begin());
+  if (it == keys_.end() || *it != key) return std::nullopt;
+  return payload(static_cast<size_t>(it - keys_.begin()));
 }
 
 uint64_t ColumnStore::Append(ByteSpan payload) {
@@ -35,7 +35,7 @@ uint64_t ColumnStore::Append(ByteSpan payload) {
   return offset;
 }
 
-void ColumnStore::Upsert(uint64_t key, ByteSpan payload) {
+bool ColumnStore::Upsert(uint64_t key, ByteSpan payload) {
   auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
   const size_t i = static_cast<size_t>(it - keys_.begin());
   if (it != keys_.end() && *it == key) {
@@ -45,7 +45,7 @@ void ColumnStore::Upsert(uint64_t key, ByteSpan payload) {
         std::memcpy(arena_.data() + offsets_[i], payload.data(),
                     payload.size());
       }
-      return;
+      return true;
     }
     // Append may compact; the entry still references the old payload then,
     // so it survives compaction as live bytes and only becomes waste once
@@ -55,20 +55,22 @@ void ColumnStore::Upsert(uint64_t key, ByteSpan payload) {
     offsets_[i] = offset;
     lengths_[i] = static_cast<uint32_t>(payload.size());
     waste_bytes_ += old_length;
-    return;
+    return true;
   }
   const uint64_t offset = Append(payload);
   keys_.insert(keys_.begin() + static_cast<ptrdiff_t>(i), key);
   offsets_.insert(offsets_.begin() + static_cast<ptrdiff_t>(i), offset);
   lengths_.insert(lengths_.begin() + static_cast<ptrdiff_t>(i),
                   static_cast<uint32_t>(payload.size()));
+  return false;
 }
 
-void ColumnStore::Erase(uint64_t key) {
-  const size_t i = Find(key);
-  if (i == keys_.size()) return;
+bool ColumnStore::Erase(uint64_t key) {
+  auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
+  if (it == keys_.end() || *it != key) return false;
+  const size_t i = static_cast<size_t>(it - keys_.begin());
   waste_bytes_ += lengths_[i];
-  keys_.erase(keys_.begin() + static_cast<ptrdiff_t>(i));
+  keys_.erase(it);
   offsets_.erase(offsets_.begin() + static_cast<ptrdiff_t>(i));
   lengths_.erase(lengths_.begin() + static_cast<ptrdiff_t>(i));
   // Deleting the last records of a bucket must release the arena too, or an
@@ -77,34 +79,66 @@ void ColumnStore::Erase(uint64_t key) {
     arena_.clear();
     waste_bytes_ = 0;
   }
+  return true;
 }
 
-void ColumnStore::Clear() {
-  keys_.clear();
-  offsets_.clear();
-  lengths_.clear();
-  arena_.clear();
-  waste_bytes_ = 0;
-}
-
-void ColumnStore::RebuildFrom(const std::map<uint64_t, Bytes>& records) {
-  keys_.clear();
-  offsets_.clear();
-  lengths_.clear();
-  arena_.clear();
-  waste_bytes_ = 0;
-  keys_.reserve(records.size());
-  offsets_.reserve(records.size());
-  lengths_.reserve(records.size());
-  uint64_t total = 0;
-  for (const auto& [key, value] : records) total += value.size();
-  arena_.reserve(total);
-  for (const auto& [key, value] : records) {
-    keys_.push_back(key);
-    offsets_.push_back(arena_.size());
-    lengths_.push_back(static_cast<uint32_t>(value.size()));
-    arena_.insert(arena_.end(), value.begin(), value.end());
+void ColumnStore::AdoptBatch(std::vector<Record> batch) {
+  // A stable sort keeps a repeated key's records in batch order, so the
+  // merge below can take the last of each run.
+  std::stable_sort(batch.begin(), batch.end(),
+                   [](const Record& a, const Record& b) { return a.key < b.key; });
+  std::vector<Record> merged;
+  merged.reserve(size() + batch.size());
+  size_t i = 0;
+  for (size_t j = 0; j < batch.size(); ++j) {
+    if (j + 1 < batch.size() && batch[j + 1].key == batch[j].key) continue;
+    for (; i < size() && keys_[i] < batch[j].key; ++i) {
+      merged.push_back(Record{keys_[i], payload(i)});
+    }
+    if (i < size() && keys_[i] == batch[j].key) ++i;  // overwritten
+    merged.push_back(batch[j]);
   }
+  for (; i < size(); ++i) merged.push_back(Record{keys_[i], payload(i)});
+  Repack(merged);
+}
+
+std::vector<WireRecord> ColumnStore::Extract(
+    const std::function<bool(uint64_t)>& take) {
+  std::vector<WireRecord> taken;
+  std::vector<Record> kept;
+  kept.reserve(size());
+  for (const Record r : *this) {
+    if (take(r.key)) {
+      taken.push_back(WireRecord{r.key, Bytes(r.value.begin(), r.value.end())});
+    } else {
+      kept.push_back(r);
+    }
+  }
+  Repack(kept);
+  return taken;
+}
+
+void ColumnStore::Repack(const std::vector<Record>& records) {
+  std::vector<uint64_t> keys, offsets;
+  std::vector<uint32_t> lengths;
+  std::vector<uint8_t> arena;
+  keys.reserve(records.size());
+  offsets.reserve(records.size());
+  lengths.reserve(records.size());
+  uint64_t bytes = 0;
+  for (const Record& r : records) bytes += r.value.size();
+  arena.reserve(bytes);
+  for (const Record& r : records) {
+    keys.push_back(r.key);
+    offsets.push_back(arena.size());
+    lengths.push_back(static_cast<uint32_t>(r.value.size()));
+    arena.insert(arena.end(), r.value.begin(), r.value.end());
+  }
+  keys_ = std::move(keys);
+  offsets_ = std::move(offsets);
+  lengths_ = std::move(lengths);
+  arena_ = std::move(arena);
+  waste_bytes_ = 0;
 }
 
 void ColumnStore::Compact() {
@@ -120,21 +154,6 @@ void ColumnStore::Compact() {
   }
   arena_ = std::move(packed);
   waste_bytes_ = 0;
-}
-
-bool ColumnStore::MirrorsMap(const std::map<uint64_t, Bytes>& records) const {
-  if (records.size() != keys_.size()) return false;
-  size_t i = 0;
-  for (const auto& [key, value] : records) {
-    if (keys_[i] != key || lengths_[i] != value.size()) return false;
-    if (!value.empty() &&
-        std::memcmp(arena_.data() + offsets_[i], value.data(),
-                    value.size()) != 0) {
-      return false;
-    }
-    ++i;
-  }
-  return true;
 }
 
 }  // namespace essdds::sdds

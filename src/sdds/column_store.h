@@ -2,9 +2,11 @@
 #define ESSDDS_SDDS_COLUMN_STORE_H_
 
 #include <cstdint>
-#include <map>
+#include <functional>
+#include <optional>
 #include <vector>
 
+#include "sdds/message.h"
 #include "util/bytes.h"
 
 namespace essdds::sdds {
@@ -12,14 +14,13 @@ namespace essdds::sdds {
 /// Read-only view of a bucket's columnar record storage, handed to scan
 /// evaluation: record i is key `keys[i]` with payload bytes
 /// arena[offsets[i], offsets[i] + lengths[i]). Records appear in ascending
-/// key order — the same order a std::map iteration yields — so hits
-/// collected over any contiguous index range concatenate into the exact
-/// reply the map-based evaluation produces.
+/// key order, so hits collected over any contiguous index range
+/// concatenate into the exact reply a whole-bucket evaluation produces.
 ///
 /// The view borrows the owning ColumnStore's buffers: it is valid only
-/// until the store's next mutation. Scan tasks hold one under the same
-/// contract that guards their record-map pointer (buckets resolve queued
-/// tasks before mutating).
+/// until the store's next mutation. Scan tasks hold one under the bucket's
+/// resolve-before-mutation contract (buckets resolve queued tasks before
+/// mutating).
 struct ColumnSlice {
   const uint64_t* keys = nullptr;
   const uint64_t* offsets = nullptr;
@@ -32,50 +33,90 @@ struct ColumnSlice {
   }
 };
 
-/// Columnar projection of one bucket's record map: payload bytes packed
-/// into a contiguous arena with per-record offset/length arrays, keys in a
-/// flat sorted array. The map stays the authority for key operations
-/// (lookup, routing, split carving); the column store exists for scans,
-/// which walk every record — a flat arena turns that walk from
-/// pointer-chasing map nodes into streaming reads, and gives batch matchers
+/// One bucket's record storage: payload bytes packed into a contiguous
+/// arena with per-record offset/length arrays, keys in a flat sorted array.
+/// Key operations binary-search the keys; scans walk every record, and the
+/// flat arena turns that walk into streaming reads and gives batch matchers
 /// many packed records per pass.
 ///
-/// The owning bucket mutates both structures in lockstep:
-///   - Upsert/Erase mirror single-record map mutations. An upsert whose
-///     payload size is unchanged overwrites in place; otherwise the new
-///     payload is appended to the arena and the old bytes become waste.
-///     Entry-array edits memmove the flat arrays (cheap at bucket sizes;
-///     bulk paths below avoid the quadratic trap).
-///   - RebuildFrom repacks everything from the map in one pass; the bulk
-///     transfer paths (split carve-out, kMoveRecords, kMergeRecords) use it
-///     instead of per-record edits.
+/// Mutations:
+///   - Upsert/Erase edit one record. An upsert whose payload size is
+///     unchanged overwrites in place; otherwise the new payload is appended
+///     to the arena and the old bytes become waste. Entry-array edits
+///     memmove the flat arrays (cheap at bucket sizes; the bulk paths below
+///     avoid the quadratic trap).
+///   - Adopt and Extract move many records in (kMoveRecords, kMergeRecords,
+///     restores) or out (split carve-out, merge dissolution) with one
+///     repack each.
 /// Appends that outrun live bytes trigger a compaction (arena rewritten in
 /// key order), so the arena stays within 2x of the live payload volume and
 /// scan reads stay mostly sequential.
 class ColumnStore {
  public:
+  /// A stored record as iteration yields it; `value` borrows the arena and
+  /// is valid until the next mutation.
+  struct Record {
+    uint64_t key = 0;
+    ByteSpan value;
+  };
+
+  /// Ascending-key iteration over the stored records.
+  class Iterator {
+   public:
+    Iterator(const ColumnStore* store, size_t i) : store_(store), i_(i) {}
+    Record operator*() const {
+      return Record{store_->key(i_), store_->payload(i_)};
+    }
+    Iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    bool operator==(const Iterator& other) const { return i_ == other.i_; }
+
+   private:
+    const ColumnStore* store_;
+    size_t i_;
+  };
+
   ColumnStore() = default;
+  ColumnStore(ColumnStore&&) = default;
+  ColumnStore& operator=(ColumnStore&&) = default;
 
-  ColumnStore(const ColumnStore&) = delete;
-  ColumnStore& operator=(const ColumnStore&) = delete;
+  /// Inserts or replaces the payload of `key`; true when a record was
+  /// replaced.
+  bool Upsert(uint64_t key, ByteSpan payload);
 
-  /// Inserts or replaces the payload of `key`.
-  void Upsert(uint64_t key, ByteSpan payload);
+  /// Removes `key`; true when it was present.
+  bool Erase(uint64_t key);
 
-  /// Removes `key` if present.
-  void Erase(uint64_t key);
+  /// The payload stored under `key` (borrowing the arena), or nullopt.
+  std::optional<ByteSpan> Lookup(uint64_t key) const;
 
-  /// Drops everything (merge dissolution).
-  void Clear();
+  /// Upserts every record of `records` with one repack. Accepts any range
+  /// whose elements destructure as [key, value] (a std::map, WireRecords,
+  /// Records of another store). Existing keys are overwritten; a key
+  /// repeated within `records` keeps its last value.
+  template <typename Records>
+  void Adopt(const Records& records) {
+    std::vector<Record> batch;
+    batch.reserve(records.size());
+    for (const auto& [key, value] : records) {
+      batch.push_back(Record{key, ByteSpan(value)});
+    }
+    AdoptBatch(std::move(batch));
+  }
 
-  /// Repacks from `records` in ascending key order (bulk transfer paths).
-  void RebuildFrom(const std::map<uint64_t, Bytes>& records);
+  /// Removes every record whose key satisfies `take` with one repack and
+  /// returns them in ascending key order.
+  std::vector<WireRecord> Extract(const std::function<bool(uint64_t)>& take);
 
   size_t size() const { return keys_.size(); }
   uint64_t key(size_t i) const { return keys_[i]; }
   ByteSpan payload(size_t i) const {
     return ByteSpan(arena_.data() + offsets_[i], lengths_[i]);
   }
+  Iterator begin() const { return Iterator(this, 0); }
+  Iterator end() const { return Iterator(this, size()); }
 
   /// Borrowed view for scan evaluation; valid until the next mutation.
   ColumnSlice slice() const {
@@ -89,7 +130,7 @@ class ColumnStore {
   }
 
   /// Arena bytes occupied by dead payloads (replaced or erased records);
-  /// reset by compaction and rebuilds. Exposed for tests. Invariant:
+  /// reset by compaction and bulk repacks. Exposed for tests. Invariant:
   /// waste_bytes() + (sum of live payload lengths) == arena_bytes().
   uint64_t waste_bytes() const { return waste_bytes_; }
 
@@ -97,13 +138,13 @@ class ColumnStore {
   /// tests (growth-bound and all-dead-arena assertions).
   uint64_t arena_bytes() const { return arena_.size(); }
 
-  /// True when this store holds exactly the content of `records`, byte for
-  /// byte, in ascending key order. Test/audit hook.
-  bool MirrorsMap(const std::map<uint64_t, Bytes>& records) const;
-
  private:
-  /// Index of `key` in keys_, or keys_.size() when absent.
-  size_t Find(uint64_t key) const;
+  /// Merges `batch` into the store in one repack (see Adopt).
+  void AdoptBatch(std::vector<Record> batch);
+
+  /// Replaces the content with `records` (ascending, unique keys; values
+  /// may borrow the current arena), packed into freshly sized buffers.
+  void Repack(const std::vector<Record>& records);
 
   /// Rewrites the arena with live payloads only, in key order.
   void Compact();

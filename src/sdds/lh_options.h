@@ -153,10 +153,10 @@ struct LhOptions {
   uint32_t max_request_retries = 16;
 
   /// Directory for durable encrypted-at-rest bucket logs (src/persist). When
-  /// set, every record-map mutation is appended to the owning bucket's log
+  /// set, every record mutation is appended to the owning bucket's log
   /// before it is acknowledged, and a new LhSystem over the same directory
-  /// replays the logs back into its buckets (records, levels, extent, and
-  /// the ColumnStore mirrors) before serving. Empty keeps every bucket
+  /// replays the logs back into its buckets' record stores (records,
+  /// levels, extent) before serving. Empty keeps every bucket
   /// RAM-only (the pre-persistence behaviour); ignored with a warning when
   /// the build has -DESSDDS_PERSIST=OFF.
   std::string data_dir = {};
@@ -253,12 +253,11 @@ class ScanFilter {
     /// implementations should avoid per-record allocation.
     virtual bool Matches(uint64_t key, ByteSpan value) const = 0;
 
-    /// Batch evaluation over a columnar bucket slice: appends a
+    /// Batch evaluation over a bucket's store slice: appends a
     /// WireRecord{key, payload} to `out` for every hit among records
-    /// [begin, end), in ascending index (= ascending key) order. This is
-    /// the hot scan path when a bucket carries a column store — one virtual
-    /// call per shard instead of one per record, and the payloads stream
-    /// out of a contiguous arena. The default walks Matches() per record;
+    /// [begin, end), in ascending index (= ascending key) order. Every scan
+    /// runs through here — one virtual call per shard instead of one per
+    /// record, and the payloads stream out of a contiguous arena. The default walks Matches() per record;
     /// filters with a batch engine (bit-parallel matchers) override it.
     /// Must produce exactly the hits the per-record Matches() would — the
     /// serial/pooled/sharded byte-identity bar depends on it.

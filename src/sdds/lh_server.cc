@@ -1,5 +1,7 @@
 #include "sdds/lh_server.h"
 
+#include <algorithm>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -20,7 +22,7 @@ uint64_t ParentBucket(uint64_t bucket) {
 }
 
 /// Messages a reconstruction freeze parks: everything that would change
-/// the record map (and thereby emit parity) while the gather snapshots it.
+/// the record store (and thereby emit parity) while the gather snapshots it.
 bool MutatesRecords(MsgType t) {
   switch (t) {
     case MsgType::kInsert:
@@ -65,9 +67,17 @@ uint64_t LhBucketServer::RouteFor(uint64_t key) const {
   return a_prime;
 }
 
-void LhBucketServer::RestoreRecovered(std::map<uint64_t, Bytes> records) {
-  records_ = std::move(records);
-  columns_.RebuildFrom(records_);
+std::map<uint64_t, Bytes> LhBucketServer::records() const {
+  std::map<uint64_t, Bytes> out;
+  for (const auto& [key, value] : columns_) {
+    out.emplace_hint(out.end(), key, Bytes(value.begin(), value.end()));
+  }
+  return out;
+}
+
+void LhBucketServer::RestoreRecovered(
+    const std::map<uint64_t, Bytes>& records) {
+  columns_.Adopt(records);
   // A recovered bucket owns its records already; nothing is in flight
   // toward it, so it serves immediately.
   loading_ = false;
@@ -78,7 +88,7 @@ void LhBucketServer::RestoreRecovered(std::map<uint64_t, Bytes> records) {
     rank_of_.clear();
     free_ranks_.clear();
     next_rank_ = 0;
-    for (const auto& [key, value] : records_) {
+    for (const auto& [key, value] : records) {
       (void)value;
       rank_of_[key] = next_rank_++;
     }
@@ -114,7 +124,7 @@ void LhBucketServer::OnMessage(Message& msg, Network& net) {
   }
   if (loading_ && msg.type != MsgType::kMoveRecords) {
     // The split that created this bucket hasn't delivered its records yet:
-    // serving now would answer from an empty map, and a racing merge would
+    // serving now would answer from an empty store, and a racing merge would
     // dissolve the bucket around the in-flight transfer. Park everything
     // until the load lands, then replay in arrival order.
     parked_.push_back(std::move(msg));
@@ -151,7 +161,7 @@ void LhBucketServer::HandleKeyOp(Message& msg, Network& net) {
   // A retired bucket was dissolved into its parent by a merge; a stale
   // client whose image is ahead of the file can still address it. Its
   // records live at the parent now — forward there instead of serving a
-  // wrong answer from the empty local map.
+  // wrong answer from the empty local store.
   uint64_t route = retired_ ? ParentBucket(bucket_number_) : RouteFor(msg.key);
   if (route != bucket_number_) {
     // Address verification ran under this bucket's level; after a merge the
@@ -189,7 +199,7 @@ void LhBucketServer::HandleKeyOp(Message& msg, Network& net) {
   switch (msg.type) {
     case MsgType::kInsert: {
       // Durability before acknowledgement: the record reaches the log
-      // before the map, the ack, or the overflow report. A torn append
+      // before the store, the ack, or the overflow report. A torn append
       // halts the site with the insert unacknowledged — the client retries
       // against the restarted site.
       if (log_ != nullptr && !log_->AppendPut(msg.key, msg.value)) {
@@ -199,23 +209,20 @@ void LhBucketServer::HandleKeyOp(Message& msg, Network& net) {
       std::vector<ParityOp> parity_ops;
       if (ParityEnabled()) parity_ops.push_back(MakeUpsertOp(msg.key, msg.value));
       AboutToMutateRecords(net);
-      auto [it, inserted] =
-          records_.insert_or_assign(msg.key, std::move(msg.value));
-      columns_.Upsert(msg.key, it->second);
+      reply.found = columns_.Upsert(msg.key, msg.value);  // true: replaced
       UpdateRecordGauge(net);
       EmitParity(net, std::move(parity_ops), false, msg.trace_id);
       reply.type = MsgType::kInsertAck;
-      reply.found = !inserted;  // true when an existing record was replaced
       net.Send(std::move(reply));
       MaybeReportOverflow(net, msg.trace_id);
-      if (log_ != nullptr) log_->MaybeCheckpoint(level_, retired_, records_);
+      if (log_ != nullptr) log_->MaybeCheckpoint(level_, retired_, columns_);
       return;
     }
     case MsgType::kLookup: {
       reply.type = MsgType::kLookupReply;
-      auto it = records_.find(msg.key);
-      reply.found = it != records_.end();
-      if (reply.found) reply.value = it->second;
+      const std::optional<ByteSpan> value = columns_.Lookup(msg.key);
+      reply.found = value.has_value();
+      if (reply.found) reply.value.assign(value->begin(), value->end());
       net.Send(std::move(reply));
       return;
     }
@@ -225,18 +232,17 @@ void LhBucketServer::HandleKeyOp(Message& msg, Network& net) {
         return;
       }
       std::vector<ParityOp> parity_ops;
-      if (ParityEnabled() && records_.count(msg.key)) {
+      if (ParityEnabled() && columns_.Lookup(msg.key).has_value()) {
         parity_ops.push_back(MakeEraseOp(msg.key));
       }
       AboutToMutateRecords(net);
       reply.type = MsgType::kDeleteAck;
-      reply.found = records_.erase(msg.key) > 0;
-      columns_.Erase(msg.key);
+      reply.found = columns_.Erase(msg.key);
       UpdateRecordGauge(net);
       EmitParity(net, std::move(parity_ops), false, msg.trace_id);
       net.Send(std::move(reply));
       MaybeReportUnderflow(net, msg.trace_id);
-      if (log_ != nullptr) log_->MaybeCheckpoint(level_, retired_, records_);
+      if (log_ != nullptr) log_->MaybeCheckpoint(level_, retired_, columns_);
       return;
     }
     default:
@@ -277,9 +283,7 @@ void LhBucketServer::HandleScan(Message& msg, Network& net) {
 
   ScanTask task;
   task.bucket = bucket_number_;
-  task.records = &records_;
   task.columns = columns_.slice();
-  task.has_columns = true;
   task.filter = &runtime_->FilterById(msg.filter_id);
   task.arg = Bytes(msg.filter_arg.begin(), msg.filter_arg.end());
   task.live_generation = &mutation_generation_;
@@ -319,31 +323,25 @@ void LhBucketServer::HandleSplit(const Message& msg, Network& net) {
     return;
   }
   const uint64_t new_bucket = msg.key;
-  // Compute the carve-out first so the log records (explicit key list + the
-  // stepped-up level) land before the record map shrinks: replay never needs
-  // to re-run the hash. A tear in either log write halts the site with the
-  // pre-split state still the durable truth.
-  const uint64_t mask = (uint64_t{1} << msg.new_level) - 1;
-  std::vector<uint64_t> moved_keys;
-  for (const auto& [key, value] : records_) {
-    if ((LhKeyImage(key, options_) & mask) == new_bucket) {
-      moved_keys.push_back(key);
-    }
-  }
-  // Deferred scans must resolve against the pre-split content before any
-  // value is moved out of the record map below.
+  // Deferred scans must resolve against the pre-split content before the
+  // carve-out leaves the store.
   AboutToMutateRecords(net);
-
+  const uint64_t mask = (uint64_t{1} << msg.new_level) - 1;
   Message move;
   move.type = MsgType::kMoveRecords;
   move.from = site_;
   move.to = runtime_->SiteOfBucket(new_bucket);
   move.key = new_bucket;  // lets a recovery proxy identify the target
   move.trace_id = msg.trace_id;
-  move.records.reserve(moved_keys.size());
-  for (uint64_t key : moved_keys) {
-    move.records.push_back(WireRecord{key, std::move(records_[key])});
-  }
+  move.records = columns_.Extract([&](uint64_t key) {
+    return (LhKeyImage(key, options_) & mask) == new_bucket;
+  });
+  // The log gets an explicit key list plus the stepped-up level, so replay
+  // never re-runs the hash. A tear in either log write halts the site with
+  // the pre-split state still the durable truth.
+  std::vector<uint64_t> moved_keys;
+  moved_keys.reserve(move.records.size());
+  for (const WireRecord& r : move.records) moved_keys.push_back(r.key);
   // Two-phase durable transfer: the receiving bucket's log gets the
   // bulk-put BEFORE this bucket logs the erase. A crash between the two
   // leaves the moved records in BOTH logs — the new bucket's copy is
@@ -365,10 +363,6 @@ void LhBucketServer::HandleSplit(const Message& msg, Network& net) {
     }
   }
   level_ = msg.new_level;
-  for (uint64_t key : moved_keys) records_.erase(key);
-  // Split carve-out removes a whole key range; per-record column erases
-  // would memmove the flat arrays once per moved record, so repack instead.
-  columns_.RebuildFrom(records_);
   UpdateRecordGauge(net);
   if (ParityEnabled()) {
     // One parity update for the whole carve-out, stamped with the stepped-up
@@ -382,7 +376,7 @@ void LhBucketServer::HandleSplit(const Message& msg, Network& net) {
     }
     EmitParity(net, std::move(parity_ops), false, msg.trace_id);
   }
-  if (log_ != nullptr) log_->MaybeCheckpoint(level_, retired_, records_);
+  if (log_ != nullptr) log_->MaybeCheckpoint(level_, retired_, columns_);
   net.Send(std::move(move));
 
   Message done;
@@ -396,11 +390,10 @@ void LhBucketServer::HandleSplit(const Message& msg, Network& net) {
 
 void LhBucketServer::HandleMoveRecords(Message& msg, Network& net) {
   // Bulk load during a split: records arrive pre-addressed, no overflow
-  // report (a subsequent regular insert re-checks capacity). The message is
-  // ours to cannibalize — adopt the values instead of deep-copying them
-  // (the log append below only reads them). When the sender already wrote
-  // the bulk-put into this bucket's log (two-phase transfer), appending it
-  // again would only store a redundant duplicate frame.
+  // report (a subsequent regular insert re-checks capacity). When the
+  // sender already wrote the bulk-put into this bucket's log (two-phase
+  // transfer), appending it again would only store a redundant duplicate
+  // frame.
   if (!msg.records_durable && log_ != nullptr &&
       !log_->AppendBulkPut(level_, msg.records)) {
     Halt();
@@ -415,15 +408,12 @@ void LhBucketServer::HandleMoveRecords(Message& msg, Network& net) {
   }
   const bool was_loading = loading_;
   AboutToMutateRecords(net);
-  for (WireRecord& r : msg.records) {
-    records_[r.key] = std::move(r.value);
-  }
-  columns_.RebuildFrom(records_);
+  columns_.Adopt(msg.records);
   UpdateRecordGauge(net);
   // The loading transition must reach the parity sites even when the
   // transfer is empty — their member state mirrors it for reconstruction.
   EmitParity(net, std::move(parity_ops), was_loading, msg.trace_id);
-  if (log_ != nullptr) log_->MaybeCheckpoint(level_, retired_, records_);
+  if (log_ != nullptr) log_->MaybeCheckpoint(level_, retired_, columns_);
   if (loading_) {
     loading_ = false;
     // Replay whatever raced the bulk load, in arrival order. Replays may
@@ -449,7 +439,7 @@ void LhBucketServer::HandleMerge(const Message& msg, Network& net) {
   }
   // This bucket dissolves: every record returns to the parent it split off
   // from, and the parent's level steps back down. Deferred scans resolve
-  // first (the move below empties the values), then the transfer goes to
+  // first (the extract below empties the store), then the transfer goes to
   // the logs two-phase: the parent's bulk-put lands BEFORE this bucket's
   // kClear. A crash between the two leaves the records in both logs — the
   // still-live victim is dropped by the recovery repair rule (the parent's
@@ -465,9 +455,7 @@ void LhBucketServer::HandleMerge(const Message& msg, Network& net) {
   move.key = parent;  // lets a recovery proxy identify the target
   move.new_level = msg.new_level;
   move.trace_id = msg.trace_id;
-  for (auto& [key, value] : records_) {
-    move.records.push_back(WireRecord{key, std::move(value)});
-  }
+  move.records = columns_.Extract([](uint64_t) { return true; });
   if (log_ != nullptr) {
     persist::BucketLog* peer = runtime_->LogOfBucket(parent);
     if (peer != nullptr) {
@@ -482,8 +470,6 @@ void LhBucketServer::HandleMerge(const Message& msg, Network& net) {
       return;
     }
   }
-  records_.clear();
-  columns_.Clear();
   UpdateRecordGauge(net);
   if (ParityEnabled()) {
     // The dissolving bucket's whole rank range empties in one update.
@@ -498,7 +484,7 @@ void LhBucketServer::HandleMerge(const Message& msg, Network& net) {
   }
   // Dissolved from this moment: an op that reaches this bucket before the
   // coordinator retires it from the directory must chase the records to
-  // the parent, not read the empty map.
+  // the parent, not read the empty store.
   retired_ = true;
   net.Send(std::move(move));
 
@@ -523,64 +509,39 @@ void LhBucketServer::HandleMergeRecords(Message& msg, Network& net) {
     stashed_merge_records_.push_back(std::move(msg));
     return;
   }
-  // One resolution covers the whole handler, including stashed transfers
-  // applied below: no message delivery happens in between, so no new scan
-  // task can be enqueued mid-application. A transfer the dissolving bucket
-  // already wrote into this log (two-phase) is not appended again.
-  if (!msg.records_durable && log_ != nullptr &&
-      !log_->AppendBulkPut(msg.new_level, msg.records)) {
-    Halt();
-    return;
-  }
-  AboutToMutateRecords(net);
-  std::vector<ParityOp> parity_ops;
-  if (ParityEnabled()) {
-    parity_ops.reserve(msg.records.size());
-    for (const WireRecord& r : msg.records) {
-      parity_ops.push_back(MakeUpsertOp(r.key, r.value));
+  // Apply this transfer, then every stashed one its level step unblocks
+  // (each unblocking the next). A transfer the dissolving bucket already
+  // wrote into this log (two-phase) is not appended again. One parity
+  // update per applied transfer: each carries its own stepped level, so the
+  // parity member mirror tracks the level sequence exactly.
+  const uint64_t trace_id = msg.trace_id;
+  Message transfer = std::move(msg);
+  for (;;) {
+    if (!transfer.records_durable && log_ != nullptr &&
+        !log_->AppendBulkPut(transfer.new_level, transfer.records)) {
+      Halt();
+      return;
     }
-  }
-  level_ = msg.new_level;
-  for (WireRecord& r : msg.records) {
-    records_[r.key] = std::move(r.value);
-  }
-  // One parity update per applied transfer: each carries its own stepped
-  // level, so the parity member mirror tracks the level sequence exactly.
-  EmitParity(net, std::move(parity_ops), false, msg.trace_id);
-  // The step down may unblock a stashed transfer (and that one the next).
-  for (bool applied = true; applied;) {
-    applied = false;
-    for (auto it = stashed_merge_records_.begin();
-         it != stashed_merge_records_.end(); ++it) {
-      if (it->new_level + 1 != level_) continue;
-      Message next = std::move(*it);
-      stashed_merge_records_.erase(it);
-      if (!next.records_durable && log_ != nullptr &&
-          !log_->AppendBulkPut(next.new_level, next.records)) {
-        Halt();
-        return;
+    AboutToMutateRecords(net);
+    std::vector<ParityOp> parity_ops;
+    if (ParityEnabled()) {
+      parity_ops.reserve(transfer.records.size());
+      for (const WireRecord& r : transfer.records) {
+        parity_ops.push_back(MakeUpsertOp(r.key, r.value));
       }
-      std::vector<ParityOp> stashed_ops;
-      if (ParityEnabled()) {
-        stashed_ops.reserve(next.records.size());
-        for (const WireRecord& r : next.records) {
-          stashed_ops.push_back(MakeUpsertOp(r.key, r.value));
-        }
-      }
-      level_ = next.new_level;
-      for (WireRecord& r : next.records) {
-        records_[r.key] = std::move(r.value);
-      }
-      EmitParity(net, std::move(stashed_ops), false, msg.trace_id);
-      applied = true;
-      break;
     }
+    level_ = transfer.new_level;
+    columns_.Adopt(transfer.records);
+    EmitParity(net, std::move(parity_ops), false, trace_id);
+    auto next = std::find_if(
+        stashed_merge_records_.begin(), stashed_merge_records_.end(),
+        [&](const Message& m) { return m.new_level + 1 == level_; });
+    if (next == stashed_merge_records_.end()) break;
+    transfer = std::move(*next);
+    stashed_merge_records_.erase(next);
   }
-  // One repack after the whole transfer chain (main + unblocked stashed
-  // transfers) rather than per-record upserts.
-  columns_.RebuildFrom(records_);
   UpdateRecordGauge(net);
-  if (log_ != nullptr) log_->MaybeCheckpoint(level_, retired_, records_);
+  if (log_ != nullptr) log_->MaybeCheckpoint(level_, retired_, columns_);
   // The level came down: a split or merge order stashed while this transfer
   // was in flight may be runnable now (it re-stashes if still early).
   if (!stashed_control_.empty()) {
@@ -599,9 +560,9 @@ LhBucketServer::ParityOp LhBucketServer::MakeUpsertOp(uint64_t key,
   auto rank = rank_of_.find(key);
   if (rank != rank_of_.end()) {
     op.rank = rank->second;
-    auto rec = records_.find(key);
-    ESSDDS_CHECK(rec != records_.end());
-    old_buf = RankBuffer(key, rec->second);
+    const std::optional<ByteSpan> old = columns_.Lookup(key);
+    ESSDDS_CHECK(old.has_value());
+    old_buf = RankBuffer(key, *old);
   } else if (!free_ranks_.empty()) {
     op.rank = *free_ranks_.begin();
     free_ranks_.erase(free_ranks_.begin());
@@ -621,10 +582,10 @@ LhBucketServer::ParityOp LhBucketServer::MakeEraseOp(uint64_t key) {
   auto rank = rank_of_.find(key);
   ESSDDS_CHECK(rank != rank_of_.end()) << "erase of unranked key " << key;
   op.rank = rank->second;
-  // Bulk paths (split carve-out, merge clear) have already moved the value
-  // out of the map and override the delta themselves.
-  auto rec = records_.find(key);
-  if (rec != records_.end()) op.delta = RankBuffer(key, rec->second);
+  // Bulk paths (split carve-out, merge clear) have already extracted the
+  // value from the store and override the delta themselves.
+  const std::optional<ByteSpan> old = columns_.Lookup(key);
+  if (old.has_value()) op.delta = RankBuffer(key, *old);
   free_ranks_.insert(op.rank);
   rank_of_.erase(rank);
   return op;
@@ -701,7 +662,9 @@ void LhBucketServer::HandleReconstructRequest(const Message& msg,
     slice.found = loading_;
     slice.records.reserve(rank_of_.size());
     for (const auto& [key, rank] : rank_of_) {
-      slice.records.push_back(WireRecord{rank, RankBuffer(key, records_.at(key))});
+      const std::optional<ByteSpan> value = columns_.Lookup(key);
+      ESSDDS_CHECK(value.has_value()) << "ranked key " << key << " not stored";
+      slice.records.push_back(WireRecord{rank, RankBuffer(key, *value)});
     }
     net.Send(std::move(slice));
     return;
@@ -722,15 +685,17 @@ void LhBucketServer::HandleReconstructRequest(const Message& msg,
 }
 
 void LhBucketServer::RestoreRebuilt(RebuiltBucket state) {
-  records_.clear();
   rank_of_.clear();
   free_ranks_.clear();
   next_rank_ = 0;
-  for (auto& [rank, record] : state.rank_records) {
-    records_[record.key] = std::move(record.value);
+  std::vector<ColumnStore::Record> records;
+  records.reserve(state.rank_records.size());
+  for (const auto& [rank, record] : state.rank_records) {
+    records.push_back(ColumnStore::Record{record.key, record.value});
     rank_of_[record.key] = rank;
     next_rank_ = std::max(next_rank_, rank + 1);
   }
+  columns_.Adopt(records);
   // Re-derive the free list: every rank below the high-water mark that no
   // record occupies is reusable, exactly as on the dead server.
   std::set<uint64_t> used;
@@ -741,7 +706,6 @@ void LhBucketServer::RestoreRebuilt(RebuiltBucket state) {
   for (uint64_t r = 0; r < next_rank_; ++r) {
     if (!used.count(r)) free_ranks_.insert(r);
   }
-  columns_.RebuildFrom(records_);
   level_ = state.level;
   parity_level_emitted_ = state.level;
   parity_seq_ = state.parity_seq;
@@ -749,7 +713,7 @@ void LhBucketServer::RestoreRebuilt(RebuiltBucket state) {
 }
 
 void LhBucketServer::AboutToMutateRecords(Network& net) {
-  // A deferred scan task holds a pointer into records_ until the batch
+  // A deferred scan task borrows the store's buffers until the batch
   // drains; evaluate any queued for this bucket now, against the
   // pre-mutation content — exactly what the serial inline mode returned at
   // kScan delivery, so deferred results stay byte-identical. The generation
@@ -765,11 +729,11 @@ void LhBucketServer::UpdateRecordGauge(Network& net) {
     record_gauge_ = &net.metrics().gauge(
         "bucket." + std::to_string(bucket_number_) + ".records");
   }
-  record_gauge_->Set(static_cast<int64_t>(records_.size()));
+  record_gauge_->Set(static_cast<int64_t>(columns_.size()));
 }
 
 void LhBucketServer::MaybeReportOverflow(Network& net, uint64_t trace_id) {
-  if (records_.size() <= options_.bucket_capacity) return;
+  if (columns_.size() <= options_.bucket_capacity) return;
   Message overflow;
   overflow.type = MsgType::kOverflow;
   overflow.from = site_;
@@ -783,7 +747,7 @@ void LhBucketServer::MaybeReportUnderflow(Network& net, uint64_t trace_id) {
   if (options_.merge_threshold <= 0.0) return;
   const double low_water =
       options_.merge_threshold * static_cast<double>(options_.bucket_capacity);
-  if (static_cast<double>(records_.size()) >= low_water) return;
+  if (static_cast<double>(columns_.size()) >= low_water) return;
   Message underflow;
   underflow.type = MsgType::kUnderflow;
   underflow.from = site_;

@@ -21,7 +21,7 @@ namespace essdds::sdds {
 /// Reordering robustness (event networks): a bucket born of a split starts
 /// in a loading state and parks every message until its kMoveRecords bulk
 /// transfer lands — requests racing the transfer would otherwise be served
-/// from an empty map, and a merge racing it would dissolve the bucket with
+/// from an empty store, and a merge racing it would dissolve the bucket with
 /// its records still in flight. Merge record transfers arriving out of
 /// order (a later merge's records overtaking an earlier merge's on a
 /// different link) are stashed until the level sequence catches up.
@@ -34,14 +34,15 @@ class LhBucketServer : public Site {
 
   uint64_t bucket_number() const { return bucket_number_; }
   uint32_t level() const { return level_; }
-  size_t record_count() const { return records_.size(); }
+  size_t record_count() const { return columns_.size(); }
 
-  /// Direct (non-message) read used by tests and recovery tooling; a real
-  /// deployment would expose this as a bulk-read RPC.
-  const std::map<uint64_t, Bytes>& records() const { return records_; }
+  /// A copy of the bucket's records, for tests, examples and tooling; no
+  /// message path calls it. A real deployment would expose this as a
+  /// bulk-read RPC.
+  std::map<uint64_t, Bytes> records() const;
 
-  /// The columnar mirror of records_ that scans evaluate against (see
-  /// ColumnStore). Exposed for tests and the consistency audit.
+  /// The bucket's record store: key ops and scans both read it (see
+  /// ColumnStore).
   const ColumnStore& columns() const { return columns_; }
 
   /// The site id this server was registered under (set by LhSystem).
@@ -54,7 +55,7 @@ class LhBucketServer : public Site {
   /// retired bucket no longer owns records: requests that still reach it —
   /// a stale client whose image is ahead of the file, or an op that raced
   /// the merge — are forwarded to the parent that absorbed them, never
-  /// served from the empty local map.
+  /// served from the empty local store.
   void Retire() { retired_ = true; }
   bool retired() const { return retired_; }
 
@@ -63,7 +64,7 @@ class LhBucketServer : public Site {
   bool loading() const { return loading_; }
 
   /// Attaches (or detaches, with nullptr) this bucket's durable log. With a
-  /// log attached every record-map mutation appends before it is
+  /// log attached every record mutation appends before it is
   /// acknowledged; an append failure halts the site (see halted()). Owned
   /// by the system's PersistManager, never by the server.
   void AttachLog(persist::BucketLog* log) { log_ = log; }
@@ -76,10 +77,10 @@ class LhBucketServer : public Site {
   bool halted() const { return halted_; }
 
   /// Adopts recovered state (restart path, called by the hosting system
-  /// before any traffic): installs the replayed record map, rebuilds the
-  /// lockstep ColumnStore, and clears the loading state — a recovered
-  /// bucket is not awaiting any transfer.
-  void RestoreRecovered(std::map<uint64_t, Bytes> records);
+  /// before any traffic): loads the replayed records into the store and
+  /// clears the loading state — a recovered bucket is not awaiting any
+  /// transfer.
+  void RestoreRecovered(const std::map<uint64_t, Bytes>& records);
 
   /// Adopts state reconstructed from parity (site-kill recovery): records
   /// with their rank assignments (the group's parity rows keep addressing
@@ -100,10 +101,9 @@ class LhBucketServer : public Site {
   /// True while a reconstruction gather has this bucket's mutations parked.
   bool frozen() const { return frozen_; }
 
-  /// Number of record-map mutations this bucket has performed. Deferred
-  /// scan tasks snapshot this at enqueue and assert it unchanged at
-  /// evaluation — the dangling-snapshot guard for the pointer they hold
-  /// into records_.
+  /// Number of record mutations this bucket has performed. Deferred scan
+  /// tasks snapshot this at enqueue and assert it unchanged at evaluation —
+  /// the dangling-snapshot guard for the store slice they borrow.
   uint64_t mutation_generation() const { return mutation_generation_; }
 
  private:
@@ -131,12 +131,12 @@ class LhBucketServer : public Site {
   void MaybeReportUnderflow(Network& net, uint64_t trace_id);
 
   /// Refreshes this bucket's record-count gauge (bucket.N.records); called
-  /// after every records_ mutation. Resolves the instrument lazily on the
+  /// after every record mutation. Resolves the instrument lazily on the
   /// driver thread, first mutation.
   void UpdateRecordGauge(Network& net);
 
-  /// Must run before every mutation of records_: deferred scan tasks hold a
-  /// pointer into the map, so any still queued are evaluated now — against
+  /// Must run before every record mutation: deferred scan tasks borrow the
+  /// store's buffers, so any still queued are evaluated now — against
   /// exactly the content the serial inline mode saw at kScan delivery —
   /// and the mutation generation steps so a missed call trips the
   /// snapshot assert instead of silently corrupting a scan.
@@ -157,10 +157,10 @@ class LhBucketServer : public Site {
 
   /// Builds the upsert op for writing `value` under `key` (allocating or
   /// reusing the key's rank; the delta XORs the old buffer out and the new
-  /// one in). Must run BEFORE records_ changes.
+  /// one in). Must run BEFORE the store changes.
   ParityOp MakeUpsertOp(uint64_t key, ByteSpan value);
   /// Builds the erase op for `key` and frees its rank. Must run while the
-  /// old value is still present in records_.
+  /// old value is still in the store.
   ParityOp MakeEraseOp(uint64_t key);
 
   /// Ships one kParityUpdate (sequence-numbered) carrying `ops` to every
@@ -193,14 +193,11 @@ class LhBucketServer : public Site {
   /// restructurings, so at most one order can wait here; it replays once
   /// the pending transfer lands.
   std::vector<Message> stashed_control_;
-  std::map<uint64_t, Bytes> records_;
-  /// Columnar projection of records_ (payloads packed into a contiguous
-  /// arena, keys/offsets flat, ascending key order). Mutated in lockstep
-  /// with the map — single-record ops incrementally, bulk transfer paths
-  /// via rebuild — and handed to scan tasks so matching streams the arena
-  /// instead of chasing map nodes.
+  /// The bucket's records: single-record ops edit it in place, bulk
+  /// transfers adopt or extract with one repack, and scan tasks borrow its
+  /// slice so matching streams the arena.
   ColumnStore columns_;
-  /// Bumped by AboutToMutateRecords on every records_ change; deferred scan
+  /// Bumped by AboutToMutateRecords on every record change; deferred scan
   /// tasks carry a pointer to it (see ScanTask::live_generation).
   uint64_t mutation_generation_ = 0;
   obs::Gauge* record_gauge_ = nullptr;  // bucket.N.records, resolved lazily

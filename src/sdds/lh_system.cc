@@ -31,12 +31,12 @@ LhSystem::LhSystem(LhOptions options)
           persist_->Recover();
       if (!recovered.empty()) {
         // Restart over an existing file: re-create every live bucket at its
-        // replayed level, install its records (and ColumnStore mirror), and
-        // re-derive the coordinator's (i, n) from the extent.
+        // replayed level, load its records into its store, and re-derive
+        // the coordinator's (i, n) from the extent.
         recovering_ = true;
         for (size_t b = 0; b < recovered.size(); ++b) {
           CreateBucket(b, recovered[b].level);
-          servers_[b]->RestoreRecovered(std::move(recovered[b].records));
+          servers_[b]->RestoreRecovered(recovered[b].records);
         }
         recovering_ = false;
         recovered_bucket_count_ = recovered.size();
@@ -256,7 +256,7 @@ void LhSystem::RebuildBucket(uint64_t bucket, RebuiltBucket state) {
     // One snapshot frame makes the reconstruction durable: a crash after
     // the rebuild replays the decoded content, not the dead site's file.
     replacement->log()->Checkpoint(level, /*retired=*/false,
-                                   replacement->records());
+                                   replacement->columns());
   }
   site_history_[bucket].push_back(site);
   // The corpse stays alive (network sites hold raw pointers) but is no
@@ -285,7 +285,7 @@ std::map<uint64_t, Bytes> LhSystem::EncodeParityRow(uint64_t group,
     const LhBucketServer& s = *servers_[b];
     const uint8_t coeff = code.ParityCoeff(parity_index, i);
     for (const auto& [key, rank] : s.rank_of()) {
-      Bytes buf = RankBuffer(key, s.records().at(key));
+      Bytes buf = RankBuffer(key, s.columns().Lookup(key).value());
       for (auto& byte : buf) {
         byte = static_cast<uint8_t>(field.Mul(coeff, byte));
       }

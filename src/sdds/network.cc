@@ -87,7 +87,7 @@ ScanWorkerPool& Network::scan_pool() {
 
 void Network::ResolveDeferredScans(uint64_t bucket) {
   // Inline, on the calling thread: this runs from a bucket server about to
-  // mutate its record map, mid-message-delivery — the pool is reserved for
+  // mutate its records, mid-message-delivery — the pool is reserved for
   // the batch drain. ExecuteScanTask skips tasks already evaluated.
   for (ScanTask& task : pending_scans_) {
     if (task.bucket == bucket) ExecuteScanTask(task);

@@ -201,10 +201,10 @@ class Network {
   void DrainDeferredScans();
 
   /// Evaluates the queued tasks of `bucket` immediately, on the calling
-  /// thread. Bucket servers call this before mutating their record map: a
-  /// queued task points into that map, so it must capture its hits while
-  /// the content still matches what the serial inline mode saw at kScan
-  /// delivery. The reply is kept and sent by the drain as usual, so
+  /// thread. Bucket servers call this before mutating their records: a
+  /// queued task borrows the store's buffers, so it must capture its hits
+  /// while the content still matches what the serial inline mode saw at
+  /// kScan delivery. The reply is kept and sent by the drain as usual, so
   /// traffic accounting is unchanged.
   void ResolveDeferredScans(uint64_t bucket);
 

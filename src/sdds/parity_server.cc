@@ -601,6 +601,7 @@ void ParityServer::DecodeDead(Network& net) {
     sh.seq = ms.applied;
   }
 
+  std::map<int, std::vector<WireRecord>> recovered;  // dead member -> records
   std::vector<std::optional<Bytes>> pieces(
       static_cast<size_t>(k_ + m_));
   for (uint64_t rank : ranks) {
@@ -654,15 +655,17 @@ void ParityServer::DecodeDead(Network& net) {
           << "decoded rank " << rank << " of member " << i
           << " unparseable: " << entry.status().ToString();
       if (!entry.value().present) continue;
-      Shadow& sh = shadow_[i];
+      const Shadow& sh = shadow_[i];
       auto mirror = sh.key_rank.find(entry.value().key);
       ESSDDS_CHECK(mirror != sh.key_rank.end() && mirror->second == rank)
           << "decoded record disagrees with parity rank mirror";
-      sh.records.emplace(entry.value().key, std::move(entry.value().value));
+      recovered[i].push_back(
+          WireRecord{entry.value().key, std::move(entry.value().value)});
     }
   }
   for (int i : dead_members_) {
-    const Shadow& sh = shadow_[i];
+    Shadow& sh = shadow_[i];
+    sh.records.Adopt(recovered[i]);
     ESSDDS_CHECK(sh.records.size() == sh.key_rank.size())
         << "decode of member " << i << " missing records";
   }
@@ -693,9 +696,10 @@ void ParityServer::InstallRebuild(int member, Network& net) {
   state.loading = sh->second.loading;
   state.parity_seq = sh->second.seq;
   for (const auto& [key, rank] : sh->second.key_rank) {
-    auto record = sh->second.records.find(key);
-    ESSDDS_CHECK(record != sh->second.records.end());
-    state.rank_records[rank] = WireRecord{key, record->second};
+    const std::optional<ByteSpan> value = sh->second.records.Lookup(key);
+    ESSDDS_CHECK(value.has_value());
+    state.rank_records[rank] =
+        WireRecord{key, Bytes(value->begin(), value->end())};
   }
   runtime_->RebuildBucket(bucket, std::move(state));
   if (obs::kMetricsEnabled) {
@@ -885,14 +889,14 @@ void ParityServer::ServeDegradedLookup(Message& msg, Network& net,
     reply.iam_level = msg.iam_level;
     reply.iam_address = msg.iam_address;
   }
-  auto it = sh.records.find(msg.key);
-  reply.found = it != sh.records.end();
-  if (reply.found) reply.value = it->second;
+  const std::optional<ByteSpan> value = sh.records.Lookup(msg.key);
+  reply.found = value.has_value();
+  if (reply.found) reply.value.assign(value->begin(), value->end());
   net.Send(std::move(reply));
 }
 
 void ParityServer::ServeDegradedScan(Message& msg, Network& net, int member) {
-  Shadow& sh = shadow_.at(member);
+  const Shadow& sh = shadow_.at(member);
   const uint64_t bucket = BucketOfMember(member);
   // Propagate to split descendants the sender's image missed, exactly as
   // the dead server would have (its reconstructed level says which).
@@ -912,8 +916,7 @@ void ParityServer::ServeDegradedScan(Message& msg, Network& net, int member) {
   }
   ScanTask task;
   task.bucket = bucket;
-  task.records = &sh.records;
-  task.has_columns = false;
+  task.columns = sh.records.slice();
   task.filter = &runtime_->FilterById(msg.filter_id);
   task.arg = Bytes(msg.filter_arg.begin(), msg.filter_arg.end());
   task.live_generation = &shadow_generation_;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "gf/gf2n.h"
+#include "sdds/column_store.h"
 #include "sdds/lh_options.h"
 #include "sdds/network.h"
 #include "sdds/rs_code.h"
@@ -152,8 +153,9 @@ class ParityServer final : public Site {
   };
 
   /// Decoded state of one dead member, served degraded until installed.
+  /// `records` is built once at decode and read like any bucket's store.
   struct Shadow {
-    std::map<uint64_t, Bytes> records;
+    ColumnStore records;
     std::map<uint64_t, uint64_t> key_rank;
     uint32_t level = 0;
     bool loading = false;

@@ -11,7 +11,7 @@ namespace essdds::sdds {
 namespace {
 
 /// Aborts if the task's record snapshot was mutated after enqueue. Buckets
-/// resolve their queued tasks before mutating the record map, so a firing
+/// resolve their queued tasks before mutating their records, so a firing
 /// here means a mutation path missed its AboutToMutateRecords() call.
 void CheckSnapshotLive(const ScanTask& task) {
   if (task.live_generation == nullptr) return;
@@ -34,16 +34,8 @@ void ExecuteScanTask(ScanTask& task) {
   }
   task.evaluated = true;
   if (prepared == nullptr) return;  // malformed argument: empty reply
-  if (task.has_columns) {
-    prepared->MatchColumns(task.columns, 0, task.columns.count,
-                           &task.reply.records);
-    return;
-  }
-  for (const auto& [key, value] : *task.records) {
-    if (prepared->Matches(key, value)) {
-      task.reply.records.push_back(WireRecord{key, value});
-    }
-  }
+  prepared->MatchColumns(task.columns, 0, task.columns.count,
+                         &task.reply.records);
 }
 
 ScanWorkerPool::ScanWorkerPool(size_t threads, obs::MetricRegistry* metrics)
@@ -76,25 +68,10 @@ void ScanWorkerPool::StartWorkers() {
 }
 
 void ScanWorkerPool::EvaluateShard(Shard& shard) {
-  if (shard.task->has_columns) {
-    // Columnar shard: one batch call over the index range; the filter walks
-    // the packed arena itself.
-    shard.prepared->MatchColumns(shard.task->columns, shard.col_begin,
-                                 shard.col_end, &shard.hits);
-    return;
-  }
-  // Hoist the members into locals: the opaque Matches() call and the
-  // push_back would otherwise force a reload of end/prepared from the
-  // Shard on every record, costing a measurable fraction of the record
-  // loop on branchy ~30ns predicates.
-  const auto end = shard.end;
-  const ScanFilter::Prepared* const prepared = shard.prepared;
-  std::vector<WireRecord>& hits = shard.hits;
-  for (auto it = shard.begin; it != end; ++it) {
-    if (prepared->Matches(it->first, it->second)) {
-      hits.push_back(WireRecord{it->first, it->second});
-    }
-  }
+  // One batch call over the index range; the filter walks the packed arena
+  // itself.
+  shard.prepared->MatchColumns(shard.task->columns, shard.begin, shard.end,
+                               &shard.hits);
 }
 
 void ScanWorkerPool::DrainShards(BatchState& state) {
@@ -173,9 +150,9 @@ void ScanWorkerPool::Run(std::vector<ScanTask>& tasks,
     return;
   }
   // Shard planning runs on the caller: per-task Prepare (when the drain did
-  // not attach a shared instance), snapshot checks, and contiguous range
-  // carving. Treat a threshold of 0 as 1 — shard everything with more than
-  // one record.
+  // not attach a shared instance), snapshot checks, and contiguous index
+  // range carving. Treat a threshold of 0 as 1 — shard everything with more
+  // than one record.
   const size_t min_records = std::max<size_t>(shard_min_records, 1);
   std::vector<std::unique_ptr<ScanFilter::Prepared>> local_prepared;
   std::vector<Shard> shards;
@@ -192,76 +169,20 @@ void ScanWorkerPool::Run(std::vector<ScanTask>& tasks,
       task.evaluated = true;
       continue;
     }
-    const size_t n =
-        task.has_columns ? task.columns.count : task.records->size();
+    // Equal record counts by index: exact balance for any key distribution
+    // (parts <= n, so every shard holds at least one record; an empty
+    // bucket is one empty shard). Ranges are contiguous and ascending, so
+    // the splice below reassembles the reply in ascending key order.
+    const size_t n = task.columns.count;
     size_t parts = 1;
     if (n > min_records) {
       parts = std::min(threads_, (n + min_records - 1) / min_records);
     }
-    if (parts == 1) {
-      // Unsharded task (possibly an empty bucket): one whole-bucket shard,
-      // no key-span probing — begin()/rbegin() are not dereferenceable
-      // here.
-      Shard shard;
-      shard.task = &task;
-      if (task.has_columns) {
-        shard.col_end = n;
-      } else {
-        shard.begin = task.records->begin();
-        shard.end = task.records->end();
-      }
-      shard.prepared = prepared;
-      shards.push_back(std::move(shard));
-      planned.push_back(&task);
-      continue;
-    }
-    if (task.has_columns) {
-      // Columnar carve: equal record counts by index, no key-space math —
-      // exact balance for any key distribution (parts <= n, so every shard
-      // holds at least one record). Ranges are contiguous and ascending, so
-      // the splice below reassembles the reply in ascending key order.
-      for (size_t s = 0; s < parts; ++s) {
-        Shard shard;
-        shard.task = &task;
-        shard.col_begin = n * s / parts;
-        shard.col_end = n * (s + 1) / parts;
-        shard.prepared = prepared;
-        shards.push_back(std::move(shard));
-      }
-      planned.push_back(&task);
-      continue;
-    }
-    // Carve contiguous key ranges (parts > 1 implies n >= 2, so first and
-    // last keys exist). Count-based carving (std::advance) would
-    // pointer-chase the whole map just to plan, doubling the memory traffic
-    // of the scan; instead the key space [first, last] is cut into `parts`
-    // equal intervals and each interior boundary found with lower_bound —
-    // O(parts log n). Under hashed keys (the default) the intervals hold
-    // near-equal record counts; clustered raw keys may imbalance the shards,
-    // which costs parallelism, never correctness: the ranges concatenate to
-    // the whole map in ascending key order regardless. Degenerate spans
-    // (tightly clustered keys, extremes at 0/UINT64_MAX) can land several
-    // boundaries on the same record — such empty ranges are dropped rather
-    // than scheduled, so every emitted shard holds at least one record and
-    // no record is ever covered twice.
-    const uint64_t lo = task.records->begin()->first;
-    const uint64_t hi = task.records->rbegin()->first;
-    const uint64_t span = hi - lo;
-    auto it = task.records->begin();
     for (size_t s = 0; s < parts; ++s) {
       Shard shard;
       shard.task = &task;
-      shard.begin = it;
-      if (s + 1 == parts) {
-        shard.end = task.records->end();
-      } else {
-        const uint64_t boundary =
-            lo + static_cast<uint64_t>(
-                     static_cast<unsigned __int128>(span) * (s + 1) / parts);
-        it = task.records->lower_bound(boundary);
-        shard.end = it;
-      }
-      if (shard.begin == shard.end) continue;  // boundary collision: empty
+      shard.begin = n * s / parts;
+      shard.end = n * (s + 1) / parts;
       shard.prepared = prepared;
       shards.push_back(std::move(shard));
     }

@@ -2,7 +2,6 @@
 #define ESSDDS_SDDS_SCAN_EXECUTOR_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -25,24 +24,17 @@ namespace essdds::sdds {
 /// a worker pool can evaluate buckets concurrently. The reply message is
 /// pre-filled with everything except the hit records.
 ///
-/// `records` points at the bucket's live record map. The bucket guards the
-/// pointer: before any mutation of the map it asks the network to resolve
-/// its queued tasks (Network::ResolveDeferredScans), so a task is always
-/// evaluated against exactly the content the serial inline mode would have
-/// seen at kScan delivery. `live_generation`/`enqueue_generation` assert
-/// that contract: the bucket bumps its mutation generation on every map
-/// change, and evaluation aborts if the snapshot went stale anyway.
+/// `columns` borrows the bucket's record store (ColumnStore::slice), and
+/// evaluation runs the filter's batch MatchColumns path over it. The bucket
+/// guards the borrow: before any record mutation it asks the network to
+/// resolve its queued tasks (Network::ResolveDeferredScans), so a task is
+/// always evaluated against exactly the content the serial inline mode
+/// would have seen at kScan delivery. `live_generation`/`enqueue_generation`
+/// assert that contract: the bucket bumps its mutation generation on every
+/// record change, and evaluation aborts if the snapshot went stale anyway.
 struct ScanTask {
   uint64_t bucket = 0;
-  const std::map<uint64_t, Bytes>* records = nullptr;
-  /// Columnar view of the same records (bucket servers maintain a
-  /// ColumnStore beside the map). When `has_columns` is set, evaluation
-  /// runs the filter's batch MatchColumns path over the packed arena —
-  /// shards become contiguous index ranges instead of map-iterator ranges —
-  /// and `records` is untouched. The slice borrows the bucket's buffers
-  /// under the same pre-mutation-resolution contract as `records`.
   ColumnSlice columns;
-  bool has_columns = false;
   const ScanFilter* filter = nullptr;
   Bytes arg;      // owned copy of the scan argument (workers never touch
                   // the originating message)
@@ -69,7 +61,7 @@ struct ScanTask {
 /// Evaluates one task inline on the calling thread: prepares the filter
 /// from the task's argument (unless a shared Prepared is attached) and
 /// fills task.reply.records with the hits, in ascending key order (the
-/// bucket's map order — deterministic regardless of execution order).
+/// store's order — deterministic regardless of execution order).
 /// No-op when the task is already evaluated.
 void ExecuteScanTask(ScanTask& task);
 
@@ -82,8 +74,8 @@ void ExecuteScanTask(ScanTask& task);
 /// complete without a single context switch.
 ///
 /// Sharding: Run() splits any task whose bucket holds more than
-/// `shard_min_records` records into up to `thread_count()` contiguous
-/// key-range shards evaluated concurrently, then splices the shard hits
+/// `shard_min_records` records into up to `thread_count()` contiguous index
+/// ranges of its slice, evaluated concurrently, then splices the shard hits
 /// back in ascending key order — so serial, pooled, and sharded execution
 /// produce byte-identical replies.
 ///
@@ -136,16 +128,12 @@ class ScanWorkerPool {
 
  private:
 #if ESSDDS_THREADS
-  /// One contiguous slice of a task's records, with its own hit vector so
-  /// workers never contend on the reply. Columnar tasks carve index ranges
-  /// [col_begin, col_end) into the packed arena; map-backed tasks carve
-  /// key-range iterator pairs.
+  /// One contiguous index range [begin, end) of a task's slice, with its
+  /// own hit vector so workers never contend on the reply.
   struct Shard {
     ScanTask* task = nullptr;
-    std::map<uint64_t, Bytes>::const_iterator begin;
-    std::map<uint64_t, Bytes>::const_iterator end;
-    size_t col_begin = 0;
-    size_t col_end = 0;
+    size_t begin = 0;
+    size_t end = 0;
     const ScanFilter::Prepared* prepared = nullptr;
     std::vector<WireRecord> hits;
   };

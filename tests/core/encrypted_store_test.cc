@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -133,6 +134,10 @@ struct StoreConfig {
   std::string name;
   SchemeParams params;
 };
+
+// Prints the config's label, so test names do not depend on where the
+// name string happens to live in memory.
+void PrintTo(const StoreConfig& c, std::ostream* os) { *os << c.name; }
 
 class EncryptedStoreConfigTest : public ::testing::TestWithParam<StoreConfig> {
 };

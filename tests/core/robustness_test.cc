@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -206,17 +207,18 @@ TEST(FailureInjectionTest, CorruptIndexPayloadIsIgnoredNotFatal) {
   auto store = MakeStore(SchemeParams{});
   ASSERT_TRUE(store->Insert(1, "SCHWARZ THOMAS").ok());
   ASSERT_TRUE(store->Insert(2, "WONG MING").ok());
-  // Vandalize every index record of rid 1 with garbage.
+  // Vandalize every index record of rid 1 with garbage, written straight
+  // into the sites by a raw LH* client.
   auto& index = store->index_file();
+  std::vector<uint64_t> victims;
   for (uint64_t b = 0; b < index.bucket_count(); ++b) {
-    auto& records =
-        const_cast<std::map<uint64_t, Bytes>&>(index.bucket(b).records());
-    for (auto& [key, value] : records) {
-      if ((key >> store->params().subid_bits) == 1) {
-        value = Bytes{0xDE, 0xAD};
-      }
+    for (const auto& [key, value] : index.bucket(b).records()) {
+      if ((key >> store->params().subid_bits) == 1) victims.push_back(key);
     }
   }
+  ASSERT_FALSE(victims.empty());
+  sdds::LhClient* vandal = index.NewClient();
+  for (uint64_t key : victims) vandal->Insert(key, Bytes{0xDE, 0xAD});
   // Site-side matching skips the corrupt records; rid 2 is still found and
   // the search does not crash. (rid 1 becomes unfindable — data loss at a
   // site is an availability problem, handled by the RS extension.)
@@ -229,10 +231,14 @@ TEST(FailureInjectionTest, CorruptSealedRecordFailsClosed) {
   auto store = MakeStore(SchemeParams{});
   ASSERT_TRUE(store->Insert(1, "SCHWARZ THOMAS").ok());
   auto& file = store->record_file();
+  std::map<uint64_t, Bytes> sealed;
   for (uint64_t b = 0; b < file.bucket_count(); ++b) {
-    auto& records =
-        const_cast<std::map<uint64_t, Bytes>&>(file.bucket(b).records());
-    for (auto& [key, value] : records) value[value.size() / 2] ^= 0x80;
+    sealed.merge(file.bucket(b).records());
+  }
+  sdds::LhClient* vandal = file.NewClient();
+  for (auto& [key, value] : sealed) {
+    value[value.size() / 2] ^= 0x80;
+    vandal->Insert(key, value);
   }
   auto got = store->Get(1);
   EXPECT_FALSE(got.ok());

@@ -20,6 +20,8 @@ namespace {
 
 #if ESSDDS_PERSIST
 
+using Records = std::map<uint64_t, Bytes>;
+
 /// Fresh scratch directory per test, removed on teardown.
 class BucketLogTest : public ::testing::Test {
  protected:
@@ -320,7 +322,7 @@ TEST_F(BucketLogTest, FreshOpenSupersedesExistingEpoch) {
     auto log = Open("bucket-0.log", /*fresh=*/true);
     ASSERT_NE(log, nullptr);
     ASSERT_TRUE(log->AppendPut(1, ToBytes("stale")));
-    ASSERT_TRUE(log->Checkpoint(0, false, {{1, ToBytes("stale")}}));
+    ASSERT_TRUE(log->Checkpoint(0, false, Records{{1, ToBytes("stale")}}));
     ASSERT_EQ(log->epoch(), 1u);
   }
   // A reused bucket number opens fresh: the old records vanish and the epoch
@@ -384,7 +386,7 @@ TEST_F(BucketLogTest, TruncateTearKillsTheLog) {
   // The log is dead: every subsequent append fails too.
   EXPECT_FALSE(log->AppendPut(3, ToBytes("also lost")));
   EXPECT_FALSE(log->AppendErase(1));
-  EXPECT_FALSE(log->Checkpoint(0, false, {}));
+  EXPECT_FALSE(log->Checkpoint(0, false, Records{}));
 
   const ReplayResult r = BucketLog::ReplayFile(log->path(), ByteSpan(key_));
   EXPECT_EQ(r.tail, ReplayResult::Tail::kTorn);
@@ -422,7 +424,8 @@ TEST_F(BucketLogTest, MetricsTrackFramesCheckpointsAndBytes) {
   EXPECT_EQ(metrics.appended_frames->value(), 2u);
   EXPECT_EQ(metrics.total_bytes, static_cast<int64_t>(log->file_bytes()));
 
-  ASSERT_TRUE(log->Checkpoint(0, false, {{1, ToBytes("a")}, {2, ToBytes("b")}}));
+  const Records snapshot = {{1, ToBytes("a")}, {2, ToBytes("b")}};
+  ASSERT_TRUE(log->Checkpoint(0, false, snapshot));
   EXPECT_EQ(metrics.checkpoints->value(), 1u);
   EXPECT_EQ(metrics.total_bytes, static_cast<int64_t>(log->file_bytes()));
 }

@@ -169,7 +169,7 @@ RunOutcome RunWorkload(const std::string& dir, const std::vector<Op>& script,
 }
 
 /// Restarts over `dir` and asserts the recovered bucket matches `want`
-/// byte-for-byte: record map, ColumnStore mirror, and scan results.
+/// byte-for-byte: replayed records, the restored store, and scan results.
 void VerifyRecovery(const std::string& dir,
                     const std::map<uint64_t, Bytes>& want,
                     const std::string& label) {
@@ -186,8 +186,8 @@ void VerifyRecovery(const std::string& dir,
   }
   EXPECT_EQ(recovered, want) << label << ": record map differs";
 
-  // Restore a server from the replayed state and check the lockstep mirror
-  // plus what a scan actually returns.
+  // Restore a server from the replayed state and check its store plus what
+  // a scan actually returns.
   SimNetwork net;
   OneBucketRuntime rt;
   AckSink sink;
@@ -196,8 +196,7 @@ void VerifyRecovery(const std::string& dir,
   rt.server_site = net.Register(&server);
   server.set_site(rt.server_site);
   server.RestoreRecovered(recovered);
-  EXPECT_TRUE(server.columns().MirrorsMap(server.records()))
-      << label << ": ColumnStore out of lockstep after recovery";
+  EXPECT_EQ(server.records(), recovered) << label << ": restored store differs";
 
   Message scan;
   scan.type = MsgType::kScan;
@@ -436,7 +435,7 @@ SysOutcome RunSystemWorkload(const std::string& dir,
 }
 
 /// Restarts a fresh system over `dir` and checks the acked state came back
-/// exactly once: per-bucket mirrors, the merged record map, the total count
+/// exactly once: the merged record map, the total count
 /// (a duplicated transfer would inflate it), and real client lookups (which
 /// exercise recovered levels, extent, and routing).
 void VerifySystemRecovery(const std::string& dir,
@@ -447,8 +446,6 @@ void VerifySystemRecovery(const std::string& dir,
   uint64_t total = 0;
   for (uint64_t b = 0; b < sys.bucket_count(); ++b) {
     const LhBucketServer& srv = sys.bucket(b);
-    EXPECT_TRUE(srv.columns().MirrorsMap(srv.records()))
-        << label << ": bucket " << b << " mirror out of lockstep";
     total += srv.records().size();
     for (const auto& [k, v] : srv.records()) got[k] = v;
   }

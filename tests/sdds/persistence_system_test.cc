@@ -16,7 +16,7 @@
 // End-to-end durability: an LhSystem with a data_dir must survive a full
 // process restart — modelled by destroying the system object and building a
 // new one over the same directory — with every bucket's records, level, the
-// coordinator extent, the ColumnStore mirrors, and the scan results exactly
+// coordinator extent, and the scan results exactly
 // as the last acknowledged state left them. Splits, merges, bucket-number
 // reuse, and event-network pause/resume all ride through the same log.
 
@@ -61,8 +61,6 @@ class PersistenceSystemTest : public ::testing::Test {
     for (uint64_t b = 0; b < sys.bucket_count(); ++b) {
       s.records.push_back(sys.bucket(b).records());
       s.levels.push_back(sys.bucket(b).level());
-      EXPECT_TRUE(sys.bucket(b).columns().MirrorsMap(sys.bucket(b).records()))
-          << "bucket " << b;
     }
     s.level = sys.coordinator().level();
     s.split_pointer = sys.coordinator().split_pointer();

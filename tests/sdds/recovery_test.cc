@@ -2,7 +2,7 @@
 // (DESIGN.md §16): parity rows stay synchronized with the data buckets
 // through splits, merges, and record churn; killing up to m sites —
 // including mid-split — ends with every lost bucket reconstructed
-// byte-identically (records AND ColumnStore mirrors) on a fresh site;
+// byte-identically on a fresh site;
 // degraded reads and scans serve from the decoded shadow while the rebuild
 // hold lasts; and every scenario replays bit-for-bit from its printed
 // seed, because all scheduling is virtual-time and seeded.
@@ -250,8 +250,6 @@ TEST(RecoveryTest, KilledBucketReconstructsByteIdentical) {
   EXPECT_EQ(sys.bucket(victim).records(), healthy)
       << "reconstruction must be byte-identical";
   EXPECT_EQ(sys.bucket(victim).level(), healthy_level);
-  EXPECT_TRUE(sys.bucket(victim).columns().MirrorsMap(healthy))
-      << "ColumnStore mirror must be rebuilt in lockstep";
   ExpectParityInSync(sys, "after reconstruction");
 
   // The rebuilt bucket is a full citizen: mutations flow and parity tracks.
@@ -347,7 +345,6 @@ TEST(RecoveryTest, TwoSimultaneousKillsWithDoubleParity) {
     EXPECT_FALSE(sys.bucket_dead(victims[i]));
     EXPECT_EQ(sys.bucket(victims[i]).records(), healthy[i])
         << "victim " << victims[i] << " not byte-identical";
-    EXPECT_TRUE(sys.bucket(victims[i]).columns().MirrorsMap(healthy[i]));
   }
   ExpectParityInSync(sys, "after double reconstruction");
 }
@@ -723,9 +720,6 @@ SweepDigest RunKillSweep(uint64_t seed, size_t m) {
   for (uint64_t b = 0; b < sys.bucket_count(); ++b) {
     EXPECT_FALSE(sys.bucket_dead(b))
         << "bucket " << b << " still dead; replay: sweep seed " << seed;
-    EXPECT_TRUE(sys.bucket(b).columns().MirrorsMap(sys.bucket(b).records()))
-        << "bucket " << b << " column mirror torn; replay: sweep seed "
-        << seed;
   }
   ExpectParityInSync(sys, "sweep seed " + std::to_string(seed));
 

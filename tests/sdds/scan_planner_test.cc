@@ -1,11 +1,9 @@
-// Shard-planner battery: the interval carve must survive degenerate key
-// distributions — keys pinned at 0 and UINT64_MAX, tight clusters, heavy
-// skew, consecutive keys, single records — without crashing, double-
-// covering, or dropping records; and the columnar carve (equal index
-// ranges over the packed arena) must splice back byte-identically to
-// serial evaluation on every one of them. Extremes land several interval
-// boundaries on the same record; the planner drops the resulting empty
-// ranges rather than scheduling them.
+// Shard-planner battery: the index-range carve over a bucket's store must
+// survive degenerate key distributions — keys pinned at 0 and UINT64_MAX,
+// tight clusters, heavy skew, consecutive keys, single records — without
+// crashing, double-covering, or dropping records, and splice back
+// byte-identically to a plain predicate walk over the same records at
+// every thread count and shard threshold.
 
 #include <limits>
 #include <map>
@@ -34,10 +32,9 @@ std::unique_ptr<ScanFilter> SelectiveFilter() {
   });
 }
 
-/// The distributions the key-space interval math is most likely to get
-/// wrong. Each returns the record map; the sweep runs every (distribution,
-/// thread count, shard threshold, columnar on/off) combination against the
-/// serial ground truth.
+/// The distributions most likely to trip a shard planner. Each returns the
+/// record map; the sweep runs every (distribution, thread count, shard
+/// threshold) combination against the predicate-walk oracle.
 std::vector<std::pair<std::string, std::map<uint64_t, Bytes>>>
 ExtremeDistributions() {
   constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
@@ -90,20 +87,28 @@ ExtremeDistributions() {
   return out;
 }
 
-ScanTask MakeTask(const std::map<uint64_t, Bytes>& records,
-                  const ColumnStore* columns, const ScanFilter& filter,
+ScanTask MakeTask(const ColumnStore& columns, const ScanFilter& filter,
                   Bytes arg) {
   ScanTask task;
   task.bucket = 0;
-  task.records = &records;
-  if (columns != nullptr) {
-    task.columns = columns->slice();
-    task.has_columns = true;
-  }
+  task.columns = columns.slice();
   task.filter = &filter;
   task.arg = std::move(arg);
   task.reply.type = MsgType::kScanReply;
   return task;
+}
+
+/// The oracle: the filter's per-record predicate walked over the test's own
+/// map, in key order.
+std::vector<WireRecord> PredicateWalk(const std::map<uint64_t, Bytes>& records,
+                                      const ScanFilter& filter,
+                                      const Bytes& arg) {
+  const std::unique_ptr<ScanFilter::Prepared> prepared = filter.Prepare(arg);
+  std::vector<WireRecord> hits;
+  for (const auto& [key, value] : records) {
+    if (prepared->Matches(key, value)) hits.push_back(WireRecord{key, value});
+  }
+  return hits;
 }
 
 void ExpectSameHits(const std::vector<WireRecord>& actual,
@@ -122,13 +127,13 @@ TEST(ScanPlannerTest, ExtremeKeyDistributionsMatchSerial) {
   const Bytes arg = {uint8_t{1}};
   for (const auto& [name, records] : distributions) {
     ColumnStore columns;
-    columns.RebuildFrom(records);
-    // Serial ground truth (map walk, threads = 1 pool).
-    std::vector<WireRecord> expected;
+    columns.Adopt(records);
+    const std::vector<WireRecord> expected =
+        PredicateWalk(records, *filter, arg);
     {
-      ScanTask task = MakeTask(records, nullptr, *filter, arg);
+      ScanTask task = MakeTask(columns, *filter, arg);
       ExecuteScanTask(task);
-      expected = std::move(task.reply.records);
+      ExpectSameHits(task.reply.records, expected, name + " serial");
     }
     for (const size_t threads : {2u, 4u, 8u, 16u}) {
       for (const size_t shard_min : {0u, 1u, 2u, 7u, 1000u}) {
@@ -136,19 +141,10 @@ TEST(ScanPlannerTest, ExtremeKeyDistributionsMatchSerial) {
         const std::string label = name + " threads=" +
                                   std::to_string(threads) + " shard_min=" +
                                   std::to_string(shard_min);
-        {
-          std::vector<ScanTask> tasks;
-          tasks.push_back(MakeTask(records, nullptr, *filter, arg));
-          pool.Run(tasks, shard_min);
-          ExpectSameHits(tasks[0].reply.records, expected, label + " map");
-        }
-        {
-          std::vector<ScanTask> tasks;
-          tasks.push_back(MakeTask(records, &columns, *filter, arg));
-          pool.Run(tasks, shard_min);
-          ExpectSameHits(tasks[0].reply.records, expected,
-                         label + " columnar");
-        }
+        std::vector<ScanTask> tasks;
+        tasks.push_back(MakeTask(columns, *filter, arg));
+        pool.Run(tasks, shard_min);
+        ExpectSameHits(tasks[0].reply.records, expected, label);
       }
     }
   }
@@ -156,58 +152,25 @@ TEST(ScanPlannerTest, ExtremeKeyDistributionsMatchSerial) {
 
 TEST(ScanPlannerTest, MatchAllKeepsEveryRecordExactlyOnce) {
   // With a pass-everything filter the reply must be the whole map, in key
-  // order, regardless of how boundary collisions carved the shards — a
-  // dropped or double-covered range shows up immediately here.
+  // order, regardless of how the shards were carved — a dropped or
+  // double-covered range shows up immediately here.
   const auto distributions = ExtremeDistributions();
   const std::unique_ptr<ScanFilter> filter = SelectiveFilter();
   for (const auto& [name, records] : distributions) {
     ColumnStore columns;
-    columns.RebuildFrom(records);
+    columns.Adopt(records);
     ScanWorkerPool pool(8);
-    for (const bool columnar : {false, true}) {
-      std::vector<ScanTask> tasks;
-      tasks.push_back(
-          MakeTask(records, columnar ? &columns : nullptr, *filter, {}));
-      pool.Run(tasks, 1);
-      const auto& hits = tasks[0].reply.records;
-      ASSERT_EQ(hits.size(), records.size())
-          << name << (columnar ? " columnar" : " map");
-      size_t i = 0;
-      for (const auto& [key, value] : records) {
-        EXPECT_EQ(hits[i].key, key) << name << " index " << i;
-        EXPECT_EQ(hits[i].value, value) << name << " index " << i;
-        ++i;
-      }
+    std::vector<ScanTask> tasks;
+    tasks.push_back(MakeTask(columns, *filter, {}));
+    pool.Run(tasks, 1);
+    const auto& hits = tasks[0].reply.records;
+    ASSERT_EQ(hits.size(), records.size()) << name;
+    size_t i = 0;
+    for (const auto& [key, value] : records) {
+      EXPECT_EQ(hits[i].key, key) << name << " index " << i;
+      EXPECT_EQ(hits[i].value, value) << name << " index " << i;
+      ++i;
     }
-  }
-}
-
-TEST(ScanPlannerTest, MixedBatchesOfMapAndColumnarTasks) {
-  // One drain can legitimately carry both kinds of task (unit tests and
-  // benches build bare map tasks; bucket servers attach columns): the
-  // planner must shard each by its own geometry.
-  const auto distributions = ExtremeDistributions();
-  const std::unique_ptr<ScanFilter> filter = SelectiveFilter();
-  const Bytes arg = {uint8_t{2}};
-  std::vector<ColumnStore> stores(distributions.size());
-  std::vector<std::vector<WireRecord>> expected;
-  for (size_t d = 0; d < distributions.size(); ++d) {
-    stores[d].RebuildFrom(distributions[d].second);
-    ScanTask task = MakeTask(distributions[d].second, nullptr, *filter, arg);
-    ExecuteScanTask(task);
-    expected.push_back(std::move(task.reply.records));
-  }
-  ScanWorkerPool pool(4);
-  std::vector<ScanTask> tasks;
-  for (size_t d = 0; d < distributions.size(); ++d) {
-    tasks.push_back(MakeTask(distributions[d].second,
-                             d % 2 == 0 ? &stores[d] : nullptr, *filter,
-                             arg));
-  }
-  pool.Run(tasks, 2);
-  for (size_t d = 0; d < tasks.size(); ++d) {
-    ExpectSameHits(tasks[d].reply.records, expected[d],
-                   distributions[d].first);
   }
 }
 

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sdds/column_store.h"
 #include "sdds/event_network.h"
 #include "sdds/lh_system.h"
 #include "sdds/scan_executor.h"
@@ -46,11 +47,11 @@ std::unique_ptr<ScanFilter> SelectiveFilter() {
   });
 }
 
-ScanTask MakeTask(uint64_t bucket, const std::map<uint64_t, Bytes>& records,
+ScanTask MakeTask(uint64_t bucket, const ColumnStore& store,
                   const ScanFilter& filter, Bytes arg) {
   ScanTask task;
   task.bucket = bucket;
-  task.records = &records;
+  task.columns = store.slice();
   task.filter = &filter;
   task.arg = std::move(arg);
   task.reply.type = MsgType::kScanReply;
@@ -58,27 +59,31 @@ ScanTask MakeTask(uint64_t bucket, const std::map<uint64_t, Bytes>& records,
   return task;
 }
 
-/// Fresh tasks over `buckets`, one per bucket, all with the same argument.
-std::vector<ScanTask> MakeBatch(
-    const std::vector<std::map<uint64_t, Bytes>>& buckets,
-    const ScanFilter& filter, const Bytes& arg) {
+/// Fresh tasks over `stores`, one per bucket, all with the same argument.
+std::vector<ScanTask> MakeBatch(const std::vector<ColumnStore>& stores,
+                                const ScanFilter& filter, const Bytes& arg) {
   std::vector<ScanTask> tasks;
-  tasks.reserve(buckets.size());
-  for (size_t b = 0; b < buckets.size(); ++b) {
-    tasks.push_back(MakeTask(b, buckets[b], filter, arg));
+  tasks.reserve(stores.size());
+  for (size_t b = 0; b < stores.size(); ++b) {
+    tasks.push_back(MakeTask(b, stores[b], filter, arg));
   }
   return tasks;
 }
 
-/// The ground truth: serial inline evaluation of an identical batch.
+/// The ground truth: the filter's per-record predicate walked over each
+/// bucket's map, in key order.
 std::vector<std::vector<WireRecord>> SerialHits(
     const std::vector<std::map<uint64_t, Bytes>>& buckets,
     const ScanFilter& filter, const Bytes& arg) {
-  std::vector<ScanTask> tasks = MakeBatch(buckets, filter, arg);
-  for (ScanTask& task : tasks) ExecuteScanTask(task);
-  std::vector<std::vector<WireRecord>> hits;
-  hits.reserve(tasks.size());
-  for (ScanTask& task : tasks) hits.push_back(std::move(task.reply.records));
+  const std::unique_ptr<ScanFilter::Prepared> prepared = filter.Prepare(arg);
+  std::vector<std::vector<WireRecord>> hits(buckets.size());
+  for (size_t b = 0; b < buckets.size(); ++b) {
+    for (const auto& [key, value] : buckets[b]) {
+      if (prepared->Matches(key, value)) {
+        hits[b].push_back(WireRecord{key, value});
+      }
+    }
+  }
   return hits;
 }
 
@@ -87,7 +92,9 @@ void ExpectPoolMatchesSerial(
     const std::vector<std::map<uint64_t, Bytes>>& buckets,
     const ScanFilter& filter, const Bytes& arg,
     const std::vector<std::vector<WireRecord>>& expected) {
-  std::vector<ScanTask> tasks = MakeBatch(buckets, filter, arg);
+  std::vector<ColumnStore> stores(buckets.size());
+  for (size_t b = 0; b < buckets.size(); ++b) stores[b].Adopt(buckets[b]);
+  std::vector<ScanTask> tasks = MakeBatch(stores, filter, arg);
   pool.Run(tasks, shard_min);
   ASSERT_EQ(tasks.size(), expected.size());
   for (size_t t = 0; t < tasks.size(); ++t) {
@@ -188,7 +195,7 @@ TEST(ScanPoolTest, EmptyBatchesAndEmptyBucketsDoNotDeadlock) {
   pool.Run(none, kNoShard);
   EXPECT_EQ(pool.started_workers(), 0u) << "empty batch must not start workers";
 
-  // A task over an empty bucket map.
+  // A task over an empty bucket.
   auto filter = SelectiveFilter();
   std::vector<std::map<uint64_t, Bytes>> buckets(3);
   buckets[1] = BuildRecords(20, 5);
@@ -309,20 +316,22 @@ TEST(ScanPoolTest, OnePoolServesManyScansAndManySystemsCycle) {
 TEST(ScanPoolDeathTest, StaleSnapshotAbortsInsteadOfReadingDanglingState) {
   // The backstop behind the resolve-before-mutation protocol: if a mutation
   // path ever misses its AboutToMutateRecords() call, evaluation must abort
-  // on the generation mismatch, not silently scan a mutated (or freed) map.
-  const auto records = BuildRecords(10, 99);
+  // on the generation mismatch, not silently scan a mutated (or freed)
+  // store.
+  ColumnStore store;
+  store.Adopt(BuildRecords(10, 99));
   auto filter = SelectiveFilter();
-  ScanTask task = MakeTask(0, records, *filter, {});
+  ScanTask task = MakeTask(0, store, *filter, {});
   uint64_t generation = 7;
   task.live_generation = &generation;
   task.enqueue_generation = 7;
   ExecuteScanTask(task);  // generations agree: fine
   EXPECT_TRUE(task.evaluated);
 
-  ScanTask stale = MakeTask(0, records, *filter, {});
+  ScanTask stale = MakeTask(0, store, *filter, {});
   stale.live_generation = &generation;
   stale.enqueue_generation = 7;
-  generation = 8;  // the map "mutated" after enqueue
+  generation = 8;  // the store "mutated" after enqueue
   EXPECT_DEATH(ExecuteScanTask(stale), "mutated record map");
 }
 
@@ -382,7 +391,7 @@ TEST(ScanPoolTest, SplitArrivingWhileTaskQueuedKeepsPreSplitSnapshot) {
   ASSERT_TRUE(collector.replies.empty()) << "scan answered before drain";
 
   // Release the overflow: the split races the queued task and mutates
-  // bucket 0's record map. The bucket must resolve the task first.
+  // bucket 0's record store. The bucket must resolve the task first.
   net->ResumeSite(sys.CoordinatorSite());
   net->PumpUntilIdle();
   ASSERT_EQ(sys.bucket_count(), 2u) << "split did not run";
@@ -401,7 +410,7 @@ TEST(ScanPoolTest, SplitArrivingWhileTaskQueuedKeepsPreSplitSnapshot) {
 
 // A kScan parked at a paused bucket replays after its initiator already
 // drained: the late task waits in the pending queue, and the next mutation
-// (here an insert) must resolve it before touching the map — otherwise the
+// (here an insert) must resolve it before touching the store — otherwise the
 // snapshot assert aborts. The eventual reply reaches the client as a
 // discarded stale reply; the next scan is complete and correct.
 TEST(ScanPoolTest, LateReplayedScanResolvesBeforeNextMutation) {
@@ -427,7 +436,7 @@ TEST(ScanPoolTest, LateReplayedScanResolvesBeforeNextMutation) {
   EXPECT_EQ(blocked.hits.size(), 0u);
 
   // Replay the parked kScan: the bucket enqueues a task nobody is waiting
-  // for. The following insert mutates the map and must resolve it first.
+  // for. The following insert mutates the store and must resolve it first.
   net->ResumeSite(sys.SiteOfBucket(0));
   net->PumpUntilIdle();
   client->Insert(7, Val(7));
