@@ -276,7 +276,7 @@ ScrapeNumbers RunScrape(size_t ops) {
   out.overhead_pct =
       100.0 * (1.0 - out.watched_ops_per_sec / out.unwatched_ops_per_sec);
   out.blocked_pct = 100.0 * scrape_secs / watched_secs;
-  out.overhead_ok = out.blocked_pct < 5.0;
+  out.overhead_ok = out.overhead_pct < 5.0;
   out.mean_scrape_us =
       out.scrapes > 0 ? 1e6 * scrape_secs / static_cast<double>(out.scrapes)
                       : 0.0;

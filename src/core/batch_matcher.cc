@@ -1,20 +1,12 @@
 #include "core/batch_matcher.h"
 
-#include <algorithm>
-
-#include "core/matcher.h"
-
 namespace essdds::core {
 
 BatchMatcher::BatchMatcher(const SearchQuery* query) : query_(query) {
   ESSDDS_CHECK(query != nullptr);
+  // A zero-site query matches the undispersed `chunks` stream; wire queries
+  // additionally have dispersal_sites >= 1 enforced at Deserialize.
   sites_ = query_->effective_sites();
-  // The clamp must agree with CompiledQuery's (both route a zero-site query
-  // to the undispersed `chunks` stream); wire queries additionally have
-  // dispersal_sites >= 1 enforced at Deserialize.
-  ESSDDS_DCHECK(sites_ == (query_->dispersal_sites > 1
-                               ? query_->dispersal_sites
-                               : 1));
   if (query_->per_family) {
     family_groups_ = query_->family_series.empty()
                          ? 1
@@ -41,71 +33,35 @@ BatchMatcher::Program BatchMatcher::CompileProgram(
     uint32_t site) {
   Program prog;
   prog.patterns.reserve(list.size());
+  prog.min_len = SIZE_MAX;
   for (const QuerySeries& s : list) {
     const std::vector<uint64_t>& values = q.PatternFor(s, site);
     if (values.empty()) continue;  // empty patterns never match
-    Pattern p;
-    p.alignment = s.alignment;
-    p.values = std::span<const uint64_t>(values);
-    prog.patterns.push_back(std::move(p));
+    prog.patterns.push_back(Pattern{s.alignment, values});
+    prog.min_len = std::min(prog.min_len, values.size());
   }
-  prog.min_len = SIZE_MAX;
-  for (const Pattern& p : prog.patterns) {
-    prog.min_len = std::min(prog.min_len, p.values.size());
-  }
-  // Pack word-sized patterns greedily into Shift-And groups: first-fit in
-  // pattern order, a group closes when the next pattern would not fit its
-  // remaining bits. Longer patterns run scalar KMP.
+  // Pack pattern prefixes greedily into Shift-And groups: first-fit in
+  // pattern order, a group closes when the next prefix would not fit its
+  // remaining bits.
   size_t used = 64;  // bits consumed in the currently open group
   for (uint32_t id = 0; id < prog.patterns.size(); ++id) {
-    Pattern& p = prog.patterns[id];
-    const size_t len = p.values.size();
-    if (len > 64) {
-      p.fail = KmpFailureTable(p.values);
-      prog.kmp.push_back(id);
-      continue;
-    }
-    if (used + len > 64) {
+    const std::span<const uint64_t> head = prog.patterns[id].values.first(
+        std::min<size_t>(prog.patterns[id].values.size(), 64));
+    if (used + head.size() > 64) {
       prog.groups.emplace_back();
       used = 0;
     }
     Group& g = prog.groups.back();
+    const size_t last = used + head.size() - 1;
     g.initial |= uint64_t{1} << used;
-    g.final |= uint64_t{1} << (used + len - 1);
-    g.pattern_of_bit[used + len - 1] = id;
-    g.pattern_ids.push_back(id);
-    for (size_t c = 0; c < len; ++c) {
-      g.masks[static_cast<uint8_t>(p.values[c])] |= uint64_t{1} << (used + c);
+    g.final |= uint64_t{1} << last;
+    g.pattern_of_bit[last] = id;
+    for (size_t c = 0; c < head.size(); ++c) {
+      g.masks[static_cast<uint8_t>(head[c])] |= uint64_t{1} << (used + c);
     }
-    used += len;
+    used += head.size();
   }
   return prog;
-}
-
-bool BatchMatcher::MatchesProgramSlow(const Program& prog,
-                                      std::span<const uint64_t> stream) const {
-  for (const Group& g : prog.groups) {
-    if (g.pattern_ids.size() == 1) {
-      bool hit = false;
-      ScanLiteral(prog.patterns[g.pattern_ids[0]], stream, [&](size_t) {
-        hit = true;
-        return false;  // first occurrence settles a Matches query
-      });
-      if (hit) return true;
-      continue;
-    }
-    bool hit = false;
-    RunGroup(prog, g, stream, [&](const Pattern&, size_t) {
-      hit = true;
-      return false;
-    });
-    if (hit) return true;
-  }
-  for (uint32_t id : prog.kmp) {
-    const Pattern& p = prog.patterns[id];
-    if (KmpContains(stream, p.values, p.fail)) return true;
-  }
-  return false;
 }
 
 }  // namespace essdds::core

@@ -27,9 +27,9 @@ int64_t ImpliedPosition(uint32_t family_offset, size_t chunk_index,
 /// The site-side matcher: runs at every index bucket during a scan. An
 /// index record is a candidate when any query series matches its stream;
 /// cross-site AND and cross-family combination happen at the client, which
-/// is the only party that can correlate sites. Each scan compiles the wire
-/// query once per bucket (Prepare) and matches every local record against
-/// the compiled form without further allocation.
+/// is the only party that can correlate sites. Prepare deserializes and
+/// compiles the wire query: at each bucket in serial scans, once per scan
+/// in thread-pool mode, where every bucket shares the one compiled form.
 class MatchScanFilter : public sdds::ScanFilter {
  public:
   explicit MatchScanFilter(const IndexPipeline* pipeline)
@@ -42,7 +42,7 @@ class MatchScanFilter : public sdds::ScanFilter {
   }
 
  private:
-  class PreparedMatch : public Prepared {
+  class PreparedMatch final : public Prepared {
    public:
     PreparedMatch(const IndexPipeline* pipeline, SearchQuery query)
         : pipeline_(pipeline), query_(std::move(query)), matcher_(&query_) {}
@@ -56,31 +56,22 @@ class MatchScanFilter : public sdds::ScanFilter {
       // the scratch is per worker thread, not per instance.
       static thread_local std::vector<uint64_t> scratch;
       if (!pipeline_->DeserializeStreamInto(value, &scratch).ok()) {
-        return false;
+        return false;  // undecodable record: no match
       }
       return matcher_.Matches(family, site, scratch);
     }
 
-    /// Columnar batch path: streams the packed arena sequentially (the
-    /// shard's offset range) and runs the bit-parallel matcher per decoded
-    /// stream. Hit records are emitted in slice order — ascending key — so
-    /// the reply is byte-identical to the per-record Matches walk.
+    /// Streams the shard's records out of the packed arena in slice order
+    /// (ascending key). The class is final, so the per-record Matches call
+    /// binds statically and inlines into this loop.
     void MatchColumns(const sdds::ColumnSlice& slice, size_t begin,
                       size_t end,
                       std::vector<sdds::WireRecord>* out) const override {
-      static thread_local std::vector<uint64_t> scratch;
       for (size_t i = begin; i < end; ++i) {
-        const uint64_t key = slice.keys[i];
-        uint64_t rid;
-        uint32_t family, site;
-        ParseIndexKey(key, pipeline_->params(), &rid, &family, &site);
         const ByteSpan payload = slice.payload(i);
-        if (!pipeline_->DeserializeStreamInto(payload, &scratch).ok()) {
-          continue;  // undecodable record: no match, same as Matches()
-        }
-        if (matcher_.Matches(family, site, scratch)) {
-          out->push_back(
-              sdds::WireRecord{key, Bytes(payload.begin(), payload.end())});
+        if (Matches(slice.keys[i], payload)) {
+          out->push_back(sdds::WireRecord{
+              slice.keys[i], Bytes(payload.begin(), payload.end())});
         }
       }
     }

@@ -41,26 +41,4 @@ std::vector<size_t> FindOccurrences(std::span<const uint32_t> stream,
   return FindOccurrencesImpl(stream, pattern);
 }
 
-std::vector<uint32_t> KmpFailureTable(std::span<const uint64_t> pattern) {
-  std::vector<uint32_t> fail(pattern.size(), 0);
-  for (size_t i = 1, k = 0; i < pattern.size(); ++i) {
-    while (k > 0 && pattern[i] != pattern[k]) k = fail[k - 1];
-    if (pattern[i] == pattern[k]) ++k;
-    fail[i] = static_cast<uint32_t>(k);
-  }
-  return fail;
-}
-
-bool KmpContains(std::span<const uint64_t> stream,
-                 std::span<const uint64_t> pattern,
-                 std::span<const uint32_t> fail) {
-  if (pattern.empty() || stream.size() < pattern.size()) return false;
-  for (size_t i = 0, k = 0; i < stream.size(); ++i) {
-    while (k > 0 && stream[i] != pattern[k]) k = fail[k - 1];
-    if (stream[i] == pattern[k]) ++k;
-    if (k == pattern.size()) return true;
-  }
-  return false;
-}
-
 }  // namespace essdds::core

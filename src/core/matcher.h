@@ -10,25 +10,14 @@ namespace essdds::core {
 /// Finds every start index at which `pattern` occurs as a consecutive
 /// subsequence of `stream` (Knuth-Morris-Pratt over chunk/piece values).
 /// This is the operation every index site runs against every index record:
-/// matching consecutive encrypted chunks (§2.3).
+/// matching consecutive encrypted chunks (§2.3). It is the reference
+/// oracle; scans run the compiled form, core::BatchMatcher.
 std::vector<size_t> FindOccurrences(std::span<const uint64_t> stream,
                                     std::span<const uint64_t> pattern);
 
 /// Overload for dispersal-piece streams.
 std::vector<size_t> FindOccurrences(std::span<const uint32_t> stream,
                                     std::span<const uint32_t> pattern);
-
-/// Precomputes the KMP failure function of `pattern`. Compiling the table
-/// once and reusing it across records is what makes a scan O(stream) per
-/// record instead of O(stream + pattern) with an allocation each time.
-std::vector<uint32_t> KmpFailureTable(std::span<const uint64_t> pattern);
-
-/// True when `pattern` (with its precomputed failure table) occurs in
-/// `stream`. Early-exits on the first match; allocates nothing. An empty
-/// pattern never matches (it carries no query content).
-bool KmpContains(std::span<const uint64_t> stream,
-                 std::span<const uint64_t> pattern,
-                 std::span<const uint32_t> fail);
 
 }  // namespace essdds::core
 

@@ -1,23 +1,23 @@
-// BatchMatcher battery: the bit-parallel matcher must agree with the
-// scalar CompiledQuery KMP and with a naive O(n*m) reference on arbitrary
-// random queries and streams — including byte-reduced alphabet collisions
-// (values equal in their low byte but different above it, which fire the
-// automaton and must be killed by verification), multi-group packing,
-// KMP-fallback patterns longer than a machine word, empty patterns,
-// out-of-range families/sites, and the zero-dispersal-site clamp shared
-// with CompiledQuery. Also pins the record-boundary property: a pattern
-// straddling two records matches neither.
+// BatchMatcher battery: the bit-parallel matcher must agree with a naive
+// O(n*m) reference on arbitrary random queries and streams — including
+// byte-reduced alphabet collisions (values equal in their low byte but
+// different above it, which fire the automaton and must be killed by
+// verification), multi-group packing, patterns longer than a machine word
+// (prefix automaton plus full verification), empty patterns, out-of-range
+// families/sites, and the zero-dispersal-site clamp. Also pins the
+// record-boundary property: a pattern straddling two records matches
+// neither.
 
 #include "core/batch_matcher.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <utility>
 #include <vector>
 
-#include "core/compiled_query.h"
 #include "core/pipeline.h"
 #include "util/random.h"
 
@@ -41,7 +41,7 @@ std::vector<uint64_t> RandomStream(Rng& rng, size_t len) {
 
 /// One random series: chunks (and pieces when k > 1) drawn from the
 /// colliding distribution. Lengths mix empty, short, word-filling, and
-/// longer-than-a-word (KMP fallback) patterns.
+/// longer-than-a-word patterns.
 QuerySeries RandomSeries(Rng& rng, uint32_t sites) {
   QuerySeries s;
   s.alignment = static_cast<uint32_t>(rng.Uniform(4));
@@ -50,7 +50,7 @@ QuerySeries RandomSeries(Rng& rng, uint32_t sites) {
   if (shape == 0) {
     len = 0;  // empty pattern: must never match
   } else if (shape == 1) {
-    len = 65 + rng.Uniform(16);  // past the word: KMP fallback
+    len = 65 + rng.Uniform(16);  // past the word: prefix + full verify
   } else if (shape == 2) {
     len = 20 + rng.Uniform(45);  // large in-word: forces group splits
   } else {
@@ -136,7 +136,6 @@ TEST(BatchMatcherTest, AgreesWithCompiledQueryAndNaiveOnRandomInputs) {
   for (int trial = 0; trial < 300; ++trial) {
     const SearchQuery query = RandomQuery(rng);
     const BatchMatcher batch(&query);
-    const CompiledQuery compiled{SearchQuery(query)};  // scalar KMP twin
     // Sweep coordinates past the valid range: out-of-range cells must
     // answer "no match", never crash.
     for (uint32_t family = 0; family < 4; ++family) {
@@ -147,21 +146,12 @@ TEST(BatchMatcherTest, AgreesWithCompiledQueryAndNaiveOnRandomInputs) {
             NaiveOccurrences(query, family, site, stream);
         EXPECT_EQ(batch.Matches(family, site, stream), !expected.empty())
             << "trial " << trial << " family " << family << " site " << site;
-        EXPECT_EQ(compiled.Matches(family, site, stream), !expected.empty())
-            << "trial " << trial << " family " << family << " site " << site;
         OccurrenceSet batch_occ;
         batch.ForEachOccurrence(family, site, stream,
                                 [&](uint32_t alignment, size_t c) {
                                   batch_occ.insert({alignment, c});
                                 });
         EXPECT_EQ(batch_occ, expected)
-            << "trial " << trial << " family " << family << " site " << site;
-        OccurrenceSet compiled_occ;
-        compiled.ForEachOccurrence(family, site, stream,
-                                   [&](uint32_t alignment, size_t c) {
-                                     compiled_occ.insert({alignment, c});
-                                   });
-        EXPECT_EQ(compiled_occ, expected)
             << "trial " << trial << " family " << family << " site " << site;
       }
     }
@@ -216,9 +206,9 @@ TEST(BatchMatcherTest, PatternStraddlingRecordBoundaryMatchesNeither) {
 
 TEST(BatchMatcherTest, ZeroSiteQueryUsesChunksLikeCompiledQuery) {
   // dispersal_sites == 0 cannot arrive off the wire (Deserialize rejects
-  // it) but a hand-built query can carry it; the shared clamp routes both
-  // matchers to the undispersed `chunks` stream — formerly CompiledQuery
-  // indexed the empty `pieces` here.
+  // it) but a hand-built query can carry it; the effective_sites() clamp
+  // routes the matcher to the undispersed `chunks` stream instead of the
+  // empty `pieces`.
   SearchQuery q;
   q.dispersal_sites = 0;
   QuerySeries s;
@@ -227,16 +217,18 @@ TEST(BatchMatcherTest, ZeroSiteQueryUsesChunksLikeCompiledQuery) {
   q.series.push_back(s);
   ASSERT_EQ(q.effective_sites(), 1u);
   const BatchMatcher batch(&q);
-  const CompiledQuery compiled{SearchQuery(q)};
   const std::vector<uint64_t> hit{1, 9, 8, 7, 2};
   const std::vector<uint64_t> miss{9, 8, 6};
   EXPECT_TRUE(batch.Matches(0, 0, hit));
-  EXPECT_TRUE(compiled.Matches(0, 0, hit));
+  OccurrenceSet got;
+  batch.ForEachOccurrence(0, 0, hit, [&](uint32_t a, size_t c) {
+    got.insert({a, c});
+  });
+  EXPECT_EQ(got, (OccurrenceSet{{2, 1}}));
+  EXPECT_EQ(got, NaiveOccurrences(q, 0, 0, hit));
   EXPECT_FALSE(batch.Matches(0, 0, miss));
-  EXPECT_FALSE(compiled.Matches(0, 0, miss));
   // Site 1 and above stay out of range under the clamp.
   EXPECT_FALSE(batch.Matches(0, 1, hit));
-  EXPECT_FALSE(compiled.Matches(0, 1, hit));
 }
 
 TEST(BatchMatcherTest, ZeroSiteWireQueryIsRejected) {
@@ -276,7 +268,6 @@ TEST(BatchMatcherTest, ManySeriesPackAcrossMultipleGroups) {
     q.series.push_back(s);
   }
   const BatchMatcher batch(&q);
-  const CompiledQuery compiled{SearchQuery(q)};
   for (int trial = 0; trial < 50; ++trial) {
     std::vector<uint64_t> stream = RandomStream(rng, 60);
     const size_t pick = rng.Uniform(q.series.size());
@@ -284,17 +275,231 @@ TEST(BatchMatcherTest, ManySeriesPackAcrossMultipleGroups) {
     std::copy(q.series[pick].chunks.begin(), q.series[pick].chunks.end(),
               stream.begin() + at);
     EXPECT_TRUE(batch.Matches(0, 0, stream)) << "trial " << trial;
-    OccurrenceSet batch_occ, compiled_occ;
+    OccurrenceSet batch_occ;
     batch.ForEachOccurrence(0, 0, stream, [&](uint32_t a, size_t c) {
       batch_occ.insert({a, c});
     });
-    compiled.ForEachOccurrence(0, 0, stream, [&](uint32_t a, size_t c) {
-      compiled_occ.insert({a, c});
-    });
-    EXPECT_EQ(batch_occ, compiled_occ) << "trial " << trial;
+    EXPECT_EQ(batch_occ, NaiveOccurrences(q, 0, 0, stream))
+        << "trial " << trial;
     EXPECT_TRUE(batch_occ.count({static_cast<uint32_t>(pick), at}) > 0)
         << "trial " << trial;
   }
+}
+
+
+/// Builds a single-codebook query whose series carry the given chunk
+/// patterns (dispersal off); series s has alignment s.
+SearchQuery PlainQuery(std::vector<std::vector<uint64_t>> patterns) {
+  SearchQuery q;
+  q.symbols_per_chunk = 4;
+  q.chunking_stride = 1;
+  q.dispersal_sites = 1;
+  q.query_symbols = 8;
+  uint32_t alignment = 0;
+  for (auto& p : patterns) {
+    QuerySeries s;
+    s.alignment = alignment++;
+    s.chunks = std::move(p);
+    q.series.push_back(std::move(s));
+  }
+  return q;
+}
+
+/// Alphabet of 2: self-overlapping patterns (AAAB, ABAB...) are the norm,
+/// which is exactly where hand-rolled matchers go wrong.
+std::vector<uint64_t> BinaryStream(Rng& rng, size_t len) {
+  std::vector<uint64_t> v(len);
+  for (auto& x : v) x = rng.Uniform(2);
+  return v;
+}
+
+TEST(BatchMatcherTest, MatchesAgreesWithNaivePerSeries) {
+  Rng rng(14);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<std::vector<uint64_t>> patterns;
+    const size_t num_series = 1 + rng.Uniform(3);
+    for (size_t s = 0; s < num_series; ++s) {
+      patterns.push_back(BinaryStream(rng, 1 + rng.Uniform(4)));
+    }
+    const auto stream = BinaryStream(rng, rng.Uniform(30));
+    const SearchQuery q = PlainQuery(patterns);
+    const bool naive = !NaiveOccurrences(q, 0, 0, stream).empty();
+    const BatchMatcher batch(&q);
+    EXPECT_EQ(batch.Matches(0, 0, stream), naive) << "trial " << trial;
+    // Without per-family series the program is shared by every family.
+    EXPECT_EQ(batch.Matches(7, 0, stream), naive) << "trial " << trial;
+  }
+}
+
+TEST(BatchMatcherTest, ForEachOccurrenceReportsEveryNaivePosition) {
+  Rng rng(15);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<std::vector<uint64_t>> patterns;
+    const size_t num_series = 1 + rng.Uniform(3);
+    for (size_t s = 0; s < num_series; ++s) {
+      patterns.push_back(BinaryStream(rng, 1 + rng.Uniform(4)));
+    }
+    const auto stream = BinaryStream(rng, rng.Uniform(30));
+    const SearchQuery q = PlainQuery(patterns);
+    const BatchMatcher batch(&q);
+    OccurrenceSet got;
+    batch.ForEachOccurrence(0, 0, stream, [&](uint32_t alignment, size_t c) {
+      EXPECT_TRUE(got.insert({alignment, c}).second) << "duplicate report";
+    });
+    EXPECT_EQ(got, NaiveOccurrences(q, 0, 0, stream)) << "trial " << trial;
+  }
+}
+
+TEST(BatchMatcherTest, DispersedQueryMatchesPerSite) {
+  // k = 3: each series carries one piece stream per dispersal site, and a
+  // site only ever sees (and must only ever match) its own stream.
+  SearchQuery q;
+  q.symbols_per_chunk = 4;
+  q.chunking_stride = 2;
+  q.dispersal_sites = 3;
+  q.query_symbols = 8;
+  QuerySeries s;
+  s.alignment = 1;
+  s.pieces = {{1, 2}, {3, 4}, {5, 6}};
+  q.series.push_back(s);
+  const BatchMatcher batch(&q);
+
+  EXPECT_TRUE(batch.Matches(0, 0, std::vector<uint64_t>{9, 1, 2, 9}));
+  EXPECT_FALSE(batch.Matches(0, 0, std::vector<uint64_t>{9, 3, 4, 9}));
+  EXPECT_TRUE(batch.Matches(0, 1, std::vector<uint64_t>{3, 4}));
+  EXPECT_TRUE(batch.Matches(0, 2, std::vector<uint64_t>{5, 6}));
+  // A site index the query has no piece stream for cannot match.
+  EXPECT_FALSE(batch.Matches(0, 3, std::vector<uint64_t>{1, 2}));
+  EXPECT_FALSE(batch.Matches(0, 1000, std::vector<uint64_t>{1, 2}));
+}
+
+TEST(BatchMatcherTest, PerFamilyQueryIsolatesFamilies) {
+  SearchQuery q;
+  q.symbols_per_chunk = 4;
+  q.chunking_stride = 1;
+  q.dispersal_sites = 1;
+  q.query_symbols = 8;
+  q.per_family = true;
+  QuerySeries f0, f1;
+  f0.alignment = 0;
+  f0.chunks = {10, 11};
+  f1.alignment = 0;
+  f1.chunks = {20, 21};
+  q.family_series = {{f0}, {f1}};
+  const BatchMatcher batch(&q);
+
+  const std::vector<uint64_t> stream0 = {10, 11};
+  const std::vector<uint64_t> stream1 = {20, 21};
+  EXPECT_TRUE(batch.Matches(0, 0, stream0));
+  EXPECT_FALSE(batch.Matches(0, 0, stream1));
+  EXPECT_TRUE(batch.Matches(1, 0, stream1));
+  EXPECT_FALSE(batch.Matches(1, 0, stream0));
+  // A family beyond the query's series lists cannot match.
+  EXPECT_FALSE(batch.Matches(2, 0, stream0));
+  EXPECT_FALSE(batch.Matches(1000, 0, stream0));
+}
+
+TEST(BatchMatcherTest, FromWireEqualsDirectCompilation) {
+  // The site filter compiles the deserialized wire query; it must answer
+  // exactly as the client's matcher over the query it serialized.
+  Rng rng(16);
+  const SearchQuery direct = PlainQuery({RandomStream(rng, 3),
+                                         RandomStream(rng, 2)});
+  auto from_wire = SearchQuery::Deserialize(direct.Serialize());
+  ASSERT_TRUE(from_wire.ok()) << from_wire.status().ToString();
+  const BatchMatcher wire_batch(&*from_wire);
+  const BatchMatcher direct_batch(&direct);
+  for (int trial = 0; trial < 100; ++trial) {
+    const auto stream = RandomStream(rng, rng.Uniform(20));
+    EXPECT_EQ(wire_batch.Matches(0, 0, stream),
+              direct_batch.Matches(0, 0, stream));
+  }
+}
+
+TEST(BatchMatcherTest, EmptySeriesNeverMatch) {
+  const SearchQuery q = PlainQuery({{}});
+  const BatchMatcher batch(&q);
+  EXPECT_FALSE(batch.Matches(0, 0, std::vector<uint64_t>{1, 2, 3}));
+  EXPECT_FALSE(batch.Matches(0, 0, std::vector<uint64_t>{}));
+}
+
+/// A pattern of `len` distinct values, none equal to the filler value 0, so
+/// every occurrence in a filler stream is one the test placed.
+std::vector<uint64_t> LongPattern(size_t len) {
+  std::vector<uint64_t> p(len);
+  for (size_t i = 0; i < len; ++i) p[i] = 0x100 * (i + 1) + (i % 255) + 1;
+  return p;
+}
+
+/// A heap buffer of exactly `values.size()` elements, so a read past the
+/// stream's end is a heap overflow the address sanitizer reports (a
+/// vector's spare capacity would hide it).
+std::unique_ptr<uint64_t[]> ExactCopy(const std::vector<uint64_t>& values) {
+  auto out = std::make_unique<uint64_t[]>(values.size());
+  std::copy(values.begin(), values.end(), out.get());
+  return out;
+}
+
+TEST(BatchMatcherTest, LongPatternFoundAtStartMiddleAndEnd) {
+  // Past 64 values the automaton tracks only the first 64; the full
+  // pattern is confirmed by the verify step.
+  for (size_t len : {65u, 100u, 130u}) {
+    const std::vector<uint64_t> pattern = LongPattern(len);
+    const SearchQuery q = PlainQuery({pattern});
+    const BatchMatcher batch(&q);
+    const size_t size = len + 40;
+    for (size_t at : {size_t{0}, size_t{17}, size - len}) {
+      std::vector<uint64_t> stream(size, 0);
+      std::copy(pattern.begin(), pattern.end(), stream.begin() + at);
+      const auto exact = ExactCopy(stream);
+      const std::span<const uint64_t> view(exact.get(), size);
+      EXPECT_TRUE(batch.Matches(0, 0, view)) << "len " << len << " at " << at;
+      OccurrenceSet got;
+      batch.ForEachOccurrence(0, 0, view, [&](uint32_t a, size_t c) {
+        got.insert({a, c});
+      });
+      EXPECT_EQ(got, (OccurrenceSet{{0, at}})) << "len " << len;
+    }
+  }
+}
+
+TEST(BatchMatcherTest, LongPatternPrefixAtStreamTailMatchesNothing) {
+  // The 64-value prefix fires the automaton on the stream's last value, but
+  // the rest of the pattern is cut off: the bounds check must reject it
+  // before memcmp reads past the stream.
+  const std::vector<uint64_t> pattern = LongPattern(100);
+  const SearchQuery q = PlainQuery({pattern});
+  const BatchMatcher batch(&q);
+  for (size_t kept : {size_t{64}, size_t{99}}) {
+    std::vector<uint64_t> stream(30, 0);
+    stream.insert(stream.end(), pattern.begin(), pattern.begin() + kept);
+    const auto exact = ExactCopy(stream);
+    const std::span<const uint64_t> view(exact.get(), stream.size());
+    EXPECT_FALSE(batch.Matches(0, 0, view)) << "kept " << kept;
+    int reports = 0;
+    batch.ForEachOccurrence(0, 0, view, [&](uint32_t, size_t) { ++reports; });
+    EXPECT_EQ(reports, 0) << "kept " << kept;
+  }
+}
+
+TEST(BatchMatcherTest, TwoLongPatternsEachTakeAGroup) {
+  // Each long pattern's 64-value prefix fills a whole automaton word, so
+  // the program runs two groups; both must report.
+  std::vector<uint64_t> a = LongPattern(70);
+  std::vector<uint64_t> b = LongPattern(90);
+  for (uint64_t& v : b) v += 0x1000000;  // distinct from a, same low bytes
+  const SearchQuery q = PlainQuery({a, b});
+  const BatchMatcher batch(&q);
+  std::vector<uint64_t> stream(5, 0);
+  stream.insert(stream.end(), b.begin(), b.end());
+  stream.insert(stream.end(), 3, 0);
+  stream.insert(stream.end(), a.begin(), a.end());
+  OccurrenceSet got;
+  batch.ForEachOccurrence(0, 0, stream, [&](uint32_t al, size_t c) {
+    got.insert({al, c});
+  });
+  EXPECT_EQ(got, (OccurrenceSet{{0, 5 + 90 + 3}, {1, 5}}));
+  EXPECT_TRUE(batch.Matches(0, 0, stream));
 }
 
 }  // namespace

@@ -371,6 +371,43 @@ TEST(EncryptedStoreTest, ParallelIndexScanMatchesSerialOnPhonebook) {
   EXPECT_GT(serial.stats.rids_final, 0u) << "queries matched nothing";
 }
 
+TEST(EncryptedStoreTest, SiteFilterRejectsGarbageQueries) {
+  // The index sites' filter (the only one the store installs) must refuse
+  // to compile bytes that are not a wire query, and a scan carrying such
+  // bytes must answer from every bucket with no hits, serial or pooled.
+  const Bytes garbage = ToBytes("not a query");
+  for (size_t scan_threads : {size_t{0}, size_t{2}}) {
+    EncryptedStore::Options opts;
+    opts.params = SchemeParams{.codes_per_chunk = 4, .dispersal_sites = 2};
+    opts.record_file.bucket_capacity = 16;
+    opts.index_file.bucket_capacity = 32;
+    opts.index_file.scan_threads = scan_threads;
+    auto store = EncryptedStore::Create(opts, Master(), {});
+    ASSERT_TRUE(store.ok()) << store.status();
+    workload::PhonebookGenerator gen(78);
+    for (const auto& r : gen.Generate(60)) {
+      ASSERT_TRUE((*store)->Insert(r.rid, r.name).ok());
+    }
+    sdds::LhSystem& index = (*store)->index_file();
+    ASSERT_GT(index.bucket_count(), 1u);
+
+    const sdds::ScanFilter& filter = index.FilterById(0);
+    EXPECT_EQ(filter.Prepare(garbage), nullptr);
+    EXPECT_EQ(filter.Prepare({}), nullptr);
+    auto query = (*store)->pipeline().BuildQuery("SCHWARZ");
+    ASSERT_TRUE(query.ok()) << query.status();
+    EXPECT_NE(filter.Prepare(query->Serialize()), nullptr);
+
+    sdds::LhClient* client = index.NewClient();
+    for (const Bytes& arg : {garbage, Bytes{}}) {
+      const sdds::ScanResult scan = client->Scan(0, arg);
+      EXPECT_TRUE(scan.hits.empty()) << "scan_threads " << scan_threads;
+      EXPECT_EQ(scan.buckets_answered, index.bucket_count())
+          << "scan_threads " << scan_threads;
+    }
+  }
+}
+
 TEST(EncryptedStoreTest, ShardedIndexScanThresholdSweepMatchesSerial) {
   // Full-scheme leg of the shard-threshold sweep: whatever the intra-bucket
   // sharding threshold, pooled index scans must reproduce the serial build

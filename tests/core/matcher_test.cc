@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "util/random.h"
@@ -82,6 +83,34 @@ TEST(MatcherTest, MatchesNaiveSearchOnRandomInputs) {
     }
     EXPECT_EQ(FindOccurrences(stream, pattern), naive)
         << "trial " << trial;
+  }
+}
+
+TEST(KmpTest, FindOccurrencesAgreesWithNaiveMatcher) {
+  Rng rng(13);
+  auto random_values = [&](size_t len) {
+    U64 v(len);
+    for (auto& x : v) x = rng.Uniform(3);
+    return v;
+  };
+  for (int trial = 0; trial < 500; ++trial) {
+    const U64 stream = random_values(rng.Uniform(60));
+    // Mix random patterns with substrings of the stream (guaranteed hits).
+    U64 pattern;
+    if (rng.Bernoulli(0.5) && stream.size() >= 2) {
+      const size_t len = 1 + rng.Uniform(std::min<size_t>(stream.size(), 5));
+      const size_t at = rng.Uniform(stream.size() - len + 1);
+      pattern.assign(stream.begin() + at, stream.begin() + at + len);
+    } else {
+      pattern = random_values(1 + rng.Uniform(5));
+    }
+    std::vector<size_t> naive;
+    for (size_t i = 0; i + pattern.size() <= stream.size(); ++i) {
+      if (std::equal(pattern.begin(), pattern.end(), stream.begin() + i)) {
+        naive.push_back(i);
+      }
+    }
+    EXPECT_EQ(FindOccurrences(stream, pattern), naive) << "trial " << trial;
   }
 }
 
