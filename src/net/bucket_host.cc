@@ -31,9 +31,11 @@ Status BucketHost::Start() {
     return Status::InvalidArgument("bucket_capacity must be positive");
   }
   if (config_.options.merge_threshold != 0.0) {
+    // The record transfer works across hosts; what is missing is retiring
+    // a bucket cluster-wide (RetireLastBucket).
     return Status::NotSupported(
-        "the socket transport does not support merges yet; run with "
-        "merge_threshold = 0");
+        "the socket transport cannot retire buckets across processes yet, "
+        "so it does not merge; run with merge_threshold = 0");
   }
   if (!config_.data_dir.empty()) {
     if (persist::kPersistEnabled) {
@@ -241,21 +243,8 @@ const sdds::ScanFilter& BucketHost::FilterById(uint64_t filter_id) const {
 }
 
 void BucketHost::RetireLastBucket() {
-  ESSDDS_CHECK(false)
-      << "merges are not supported by the socket transport (v1)";
-}
-
-persist::BucketLog* BucketHost::LogOfBucket(uint64_t bucket) {
-  // Only locally hosted buckets have a reachable log. A split whose target
-  // lives on another host returns nullptr here, so the sender ships the
-  // records non-durable and the RECEIVING host appends them to its own log
-  // on arrival — the cross-process transfer loses the two-phase crash
-  // guarantee (documented in DESIGN.md §15).
-  if (persist_ == nullptr) return nullptr;
-  if (config_.cluster.HostOfBucket(bucket) != config_.host_index) {
-    return nullptr;
-  }
-  return persist_->log(bucket);
+  ESSDDS_CHECK(false) << "cross-process bucket retirement is not supported "
+                         "by the socket transport (v1)";
 }
 
 }  // namespace essdds::net

@@ -96,7 +96,6 @@ class BucketHost : public sdds::LhRuntime {
   const sdds::ScanFilter& FilterById(uint64_t filter_id) const override;
   const sdds::LhOptions& options() const override { return config_.options; }
   void RetireLastBucket() override;
-  persist::BucketLog* LogOfBucket(uint64_t bucket) override;
   /// Append-failure halt: log a structured event and flush the metrics
   /// file immediately — the SIGKILL-adjacent path must leave a complete
   /// post-mortem, not wait for a periodic timer that may never fire again.

@@ -149,13 +149,13 @@ void SocketNetwork::Send(Message msg) {
 
 void SocketNetwork::RouteIncoming(Message msg) {
   // Extent advisories implied by protocol traffic (see set_on_extent): a
-  // kSplit proves the new bucket exists; a kMoveRecords proves its
+  // kSplit proves the new bucket exists; a kTransfer proves its
   // destination does. These keep this host's extent knowledge fresh enough
   // that the parent-fold in HandleKeyOp can never fold past a bucket's own
   // children (which would self-forward forever).
   if (msg.type == MsgType::kSplit) {
     NoteExtentAtLeast(msg.key + 1);
-  } else if (msg.type == MsgType::kMoveRecords && IsBucketSite(msg.to)) {
+  } else if (msg.type == MsgType::kTransfer && IsBucketSite(msg.to)) {
     NoteExtentAtLeast(BucketOfSite(msg.to) + 1);
   }
   MaterializeIfNeeded(msg.to);
@@ -187,7 +187,7 @@ bool SocketNetwork::DrainInbox() {
     Message msg = std::move(local_inbox_.front());
     local_inbox_.pop_front();
     // Local hops reach hosted-but-unregistered buckets too: when a splitting
-    // bucket and its new child share a host, the parent's kMoveRecords is
+    // bucket and its new child share a host, the parent's kTransfer is
     // the child's first-ever message and must create it, exactly as a
     // network frame would in RouteIncoming.
     MaterializeIfNeeded(msg.to);

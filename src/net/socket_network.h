@@ -57,8 +57,8 @@ class SocketNetwork final : public sdds::Network {
   /// Lazy bucket materialization: called (if set) when a frame addresses a
   /// bucket site that is hosted here but not yet registered — the receiving
   /// process creates the LhBucketServer on demand (split targets learn of
-  /// their birth from their first frame, usually the kMoveRecords bulk
-  /// load). Returns the new Site, which this network registers and then
+  /// their birth from their first frame, usually the kTransfer of their
+  /// records). Returns the new Site, which this network registers and then
   /// delivers to, or nullptr to drop the message.
   using MaterializeFn = std::function<sdds::Site*(uint64_t bucket)>;
   void set_materialize(MaterializeFn fn) { materialize_ = std::move(fn); }
@@ -131,7 +131,7 @@ class SocketNetwork final : public sdds::Network {
   /// Lazily creates a hosted-but-unregistered bucket site (see
   /// set_materialize). Applied to both network frames and locally
   /// originated messages — a co-hosted split child's first message can be
-  /// its parent's local kMoveRecords.
+  /// its parent's local kTransfer.
   void MaterializeIfNeeded(sdds::SiteId to);
   /// Delivers every queued local message; returns whether any was.
   bool DrainInbox();

@@ -155,7 +155,7 @@ class BucketLog {
   /// Merge dissolution: the bucket drops every record and retires.
   bool AppendClear();
 
-  /// Bulk load (kMoveRecords / kMergeRecords): `level` is the bucket's
+  /// Bulk load (a received kTransfer): `level` is the bucket's
   /// level after the transfer applies. Elements need `.key` and `.value`.
   template <typename RecordVec>
   bool AppendBulkPut(uint32_t level, const RecordVec& records) {

@@ -118,8 +118,8 @@ std::vector<PersistManager::RecoveredBucket> PersistManager::Recover() {
   }
 
   // Repair rule for an interrupted split/merge record transfer. Transfers
-  // are two-phase — the receiving bucket's log gets the bulk-put before the
-  // sending bucket logs its erase/clear — so a crash between the two phases
+  // are acknowledged — the sending bucket logs its erase/clear only after
+  // the receiver acked its logged bulk-put — so a crash between the two
   // leaves the moved records in BOTH logs, never in neither. Every such
   // window shows the same signature on the TOP live bucket N and its parent
   // P (N with its top set bit cleared): P is still at its pre-transfer
@@ -134,9 +134,9 @@ std::vector<PersistManager::RecoveredBucket> PersistManager::Recover() {
   while (true) {
     // The top LIVE bucket may sit below merge-retired entries.
     auto top_it = replayed.end();
-    for (auto it = replayed.rbegin(); it != replayed.rend(); ++it) {
-      if (!it->second.retired && it->second.valid_bytes > 0) {
-        top_it = std::prev(it.base());
+    for (auto rit = replayed.rbegin(); rit != replayed.rend(); ++rit) {
+      if (!rit->second.retired && rit->second.valid_bytes > 0) {
+        top_it = std::prev(rit.base());
         break;
       }
     }

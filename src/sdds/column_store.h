@@ -45,7 +45,7 @@ struct ColumnSlice {
 ///     to the arena and the old bytes become waste. Entry-array edits
 ///     memmove the flat arrays (cheap at bucket sizes; the bulk paths below
 ///     avoid the quadratic trap).
-///   - Adopt and Extract move many records in (kMoveRecords, kMergeRecords,
+///   - Adopt and Extract move many records in (a received kTransfer,
 ///     restores) or out (split carve-out, merge dissolution) with one
 ///     repack each.
 /// Appends that outrun live bytes trigger a compaction (arena rewritten in

@@ -24,12 +24,12 @@ bool ProtocolReliable(MsgType type) {
   switch (type) {
     case MsgType::kOverflow:
     case MsgType::kSplit:
-    case MsgType::kMoveRecords:
     case MsgType::kSplitDone:
     case MsgType::kUnderflow:
     case MsgType::kMerge:
-    case MsgType::kMergeRecords:
     case MsgType::kMergeDone:
+    case MsgType::kTransfer:
+    case MsgType::kTransferAck:
     case MsgType::kParityUpdate:
     case MsgType::kPing:
     case MsgType::kPong:

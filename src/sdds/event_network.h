@@ -23,7 +23,7 @@ bool FaultEligible(MsgType type);
 
 /// True for the protocol-internal types the reliable link layer carries
 /// when EventNetworkOptions::protocol_faults is on: split/merge
-/// restructuring, bulk moves, parity updates, and the reconstruction
+/// restructuring, record transfers, parity updates, and the reconstruction
 /// control plane. Client traffic and scans are excluded (they have their
 /// own recovery: retries and quiesce barriers), as are kDeadSite (fire-
 /// and-forget, re-reported) and kRecoveryTick (never crosses a link).

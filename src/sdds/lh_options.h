@@ -13,10 +13,6 @@
 #include "util/bytes.h"
 #include "util/logging.h"
 
-namespace essdds::persist {
-class BucketLog;
-}  // namespace essdds::persist
-
 namespace essdds::sdds {
 
 /// Which multicomputer simulation carries an LH* file's traffic.
@@ -55,13 +51,13 @@ struct EventNetworkOptions {
   /// Fault injection, applied only to fault-eligible messages — client key
   /// requests and their replies (kInsert/kLookup/kDelete and acks), which
   /// the client retry machinery recovers. Protocol-internal transfers
-  /// (splits, merges, bulk moves) and scans have no retransmission layer
-  /// and are never dropped or duplicated by these knobs.
+  /// (splits, merges, record transfers) and scans have no retransmission
+  /// layer and are never dropped or duplicated by these knobs.
   double drop_prob = 0.0;
   double duplicate_prob = 0.0;
 
   /// Make protocol-internal traffic fault-eligible too. When set, the
-  /// restructuring and parity messages (splits, merges, bulk moves, parity
+  /// restructuring and parity messages (splits, merges, transfers, parity
   /// updates, reconstruction control) are carried over the network's
   /// reliable link layer — per-link sequence numbers, receiver acks,
   /// timeout-driven retransmission, exactly-once in-order delivery — and
@@ -291,8 +287,9 @@ std::unique_ptr<ScanFilter> MakeScanFilter(
 /// on a spare server (LhRuntime::RebuildBucket).
 struct RebuiltBucket {
   uint32_t level = 0;
-  /// The bucket died while awaiting its kMoveRecords bulk load; the rebuilt
-  /// server starts parked the same way (the transfer redelivers to it).
+  /// The bucket died as a split target awaiting its records or its
+  /// release; the rebuilt server starts parked the same way (the transfer
+  /// or the release redelivers to it).
   bool loading = false;
   /// Parity updates the bucket had emitted; the rebuilt server continues
   /// the per-member sequence from here.
@@ -336,16 +333,6 @@ class LhRuntime {
   /// in-flight references stay valid, and stale addresses fold onto the
   /// parent chain in SiteOfBucket.
   virtual void RetireLastBucket() = 0;
-
-  /// The persistence log attached to logical bucket `bucket`, or nullptr
-  /// when the bucket (or the whole system) runs RAM-only. Split/merge
-  /// record transfers use this to write the receiving bucket's bulk-put
-  /// durably BEFORE the sender logs its erase/clear — a crash between the
-  /// two phases then leaves the moved records in both logs (repaired at
-  /// recovery) instead of neither (silent loss).
-  virtual persist::BucketLog* LogOfBucket(uint64_t /*bucket*/) {
-    return nullptr;
-  }
 
   // --- high availability (parity groups, DESIGN.md §16). Defaults keep
   // runtimes without parity support (single-bucket hosts, tests) compiling;

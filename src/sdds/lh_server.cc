@@ -29,8 +29,8 @@ bool MutatesRecords(MsgType t) {
     case MsgType::kDelete:
     case MsgType::kSplit:
     case MsgType::kMerge:
-    case MsgType::kMoveRecords:
-    case MsgType::kMergeRecords:
+    case MsgType::kTransfer:
+    case MsgType::kTransferAck:
       return true;
     default:
       return false;
@@ -46,7 +46,7 @@ LhBucketServer::LhBucketServer(LhRuntime* runtime, const LhOptions& options,
       bucket_number_(bucket_number),
       level_(level),
       // Every bucket but the root is born of a split: it owns nothing until
-      // its kMoveRecords bulk load lands, and must not serve before then.
+      // its transfer lands, and must not serve before its release.
       loading_(bucket_number != 0),
       parity_level_emitted_(level) {
   ESSDDS_CHECK(runtime != nullptr);
@@ -122,11 +122,12 @@ void LhBucketServer::OnMessage(Message& msg, Network& net) {
     frozen_parked_.push_back(std::move(msg));
     return;
   }
-  if (loading_ && msg.type != MsgType::kMoveRecords) {
-    // The split that created this bucket hasn't delivered its records yet:
-    // serving now would answer from an empty store, and a racing merge would
-    // dissolve the bucket around the in-flight transfer. Park everything
-    // until the load lands, then replay in arrival order.
+  if (loading_ && msg.type != MsgType::kTransfer &&
+      msg.type != MsgType::kTransferAck) {
+    // The split that created this bucket hasn't delivered its records, or
+    // its parent hasn't logged their erase: serving now would answer from
+    // an empty store, or ack a write that a crash between the two log
+    // writes drops. Park everything until the release.
     parked_.push_back(std::move(msg));
     return;
   }
@@ -140,16 +141,14 @@ void LhBucketServer::OnMessage(Message& msg, Network& net) {
       HandleScan(msg, net);
       return;
     case MsgType::kSplit:
-      HandleSplit(msg, net);
-      return;
-    case MsgType::kMoveRecords:
-      HandleMoveRecords(msg, net);
-      return;
     case MsgType::kMerge:
-      HandleMerge(msg, net);
+      StartTransfer(msg, net);
       return;
-    case MsgType::kMergeRecords:
-      HandleMergeRecords(msg, net);
+    case MsgType::kTransfer:
+      HandleTransfer(msg, net);
+      return;
+    case MsgType::kTransferAck:
+      HandleTransferAck(msg, net);
       return;
     default:
       ESSDDS_CHECK(false) << "bucket server got unexpected message "
@@ -215,7 +214,7 @@ void LhBucketServer::HandleKeyOp(Message& msg, Network& net) {
       reply.type = MsgType::kInsertAck;
       net.Send(std::move(reply));
       MaybeReportOverflow(net, msg.trace_id);
-      if (log_ != nullptr) log_->MaybeCheckpoint(level_, retired_, columns_);
+      MaybeCheckpoint();
       return;
     }
     case MsgType::kLookup: {
@@ -242,7 +241,7 @@ void LhBucketServer::HandleKeyOp(Message& msg, Network& net) {
       EmitParity(net, std::move(parity_ops), false, msg.trace_id);
       net.Send(std::move(reply));
       MaybeReportUnderflow(net, msg.trace_id);
-      if (log_ != nullptr) log_->MaybeCheckpoint(level_, retired_, columns_);
+      MaybeCheckpoint();
       return;
     }
     default:
@@ -308,94 +307,76 @@ void LhBucketServer::HandleScan(Message& msg, Network& net) {
   }
 }
 
-void LhBucketServer::HandleSplit(const Message& msg, Network& net) {
-  ESSDDS_CHECK(msg.bucket_to_split == bucket_number_);
-  if (msg.new_level != level_ + 1) {
-    // The coordinator computed this split against a level this bucket has
-    // not reached yet: the merge record transfer that steps the level down
-    // (sent by the dissolving child, on a different link than the
-    // coordinator's order) is still in flight. Hold the split until it
-    // lands — splitting now would move the wrong key range.
-    ESSDDS_CHECK(msg.new_level <= level_)
-        << "split level mismatch: coordinator " << msg.new_level
-        << " vs local " << level_ + 1;
-    stashed_control_.push_back(msg);
-    return;
-  }
-  const uint64_t new_bucket = msg.key;
-  // Deferred scans must resolve against the pre-split content before the
-  // carve-out leaves the store.
+void LhBucketServer::StartTransfer(const Message& order, Network& net) {
+  ESSDDS_CHECK(order.bucket_to_split == bucket_number_);
+  ESSDDS_CHECK(!transfer_pending_) << "bucket " << bucket_number_
+                                   << " ordered to restructure mid-transfer";
+  // The coordinator sends its next order only after the previous transfer
+  // was adopted, so the level it computed this one against is ours.
+  const bool split = order.type == MsgType::kSplit;
+  ESSDDS_CHECK(split ? order.new_level == level_ + 1
+                     : order.new_level + 1 == level_)
+      << MsgTypeToString(order.type) << " level mismatch at bucket "
+      << bucket_number_ << ": coordinator " << order.new_level << ", local "
+      << level_;
+  // Deferred scans must resolve against the content before the carve-out
+  // leaves the store.
   AboutToMutateRecords(net);
-  const uint64_t mask = (uint64_t{1} << msg.new_level) - 1;
-  Message move;
-  move.type = MsgType::kMoveRecords;
-  move.from = site_;
-  move.to = runtime_->SiteOfBucket(new_bucket);
-  move.key = new_bucket;  // lets a recovery proxy identify the target
-  move.trace_id = msg.trace_id;
-  move.records = columns_.Extract([&](uint64_t key) {
-    return (LhKeyImage(key, options_) & mask) == new_bucket;
-  });
-  // The log gets an explicit key list plus the stepped-up level, so replay
-  // never re-runs the hash. A tear in either log write halts the site with
-  // the pre-split state still the durable truth.
-  std::vector<uint64_t> moved_keys;
-  moved_keys.reserve(move.records.size());
-  for (const WireRecord& r : move.records) moved_keys.push_back(r.key);
-  // Two-phase durable transfer: the receiving bucket's log gets the
-  // bulk-put BEFORE this bucket logs the erase. A crash between the two
-  // leaves the moved records in BOTH logs — the new bucket's copy is
-  // dropped by the recovery repair rule (its parent's level still predates
-  // the split) — never in neither, which would be silent loss of acked
-  // records.
-  if (log_ != nullptr) {
-    persist::BucketLog* peer = runtime_->LogOfBucket(new_bucket);
-    if (peer != nullptr) {
-      if (!peer->AppendBulkPut(msg.new_level, move.records)) {
-        Halt();
-        return;
-      }
-      move.records_durable = true;
-    }
-    if (!log_->AppendEraseBulk(msg.new_level, moved_keys)) {
-      Halt();
-      return;
-    }
+  Message transfer;
+  transfer.type = MsgType::kTransfer;
+  transfer.from = site_;
+  transfer.key = order.key;  // the receiver: new bucket, or merge parent
+  transfer.to = runtime_->SiteOfBucket(transfer.key);
+  transfer.bucket_to_split = bucket_number_;
+  transfer.new_level = order.new_level;
+  transfer.trace_id = order.trace_id;
+  if (split) {
+    const uint64_t mask = (uint64_t{1} << order.new_level) - 1;
+    transfer.records = columns_.Extract([&](uint64_t key) {
+      return (LhKeyImage(key, options_) & mask) == transfer.key;
+    });
+    // The erase is logged as an explicit key list plus the stepped-up
+    // level, so replay never re-runs the hash.
+    moved_keys_.reserve(transfer.records.size());
+    for (const WireRecord& r : transfer.records) moved_keys_.push_back(r.key);
+    level_ = order.new_level;
+  } else {
+    // Every record returns to the parent this bucket split off from.
+    // Dissolved from this moment: an op that reaches this bucket before
+    // the coordinator retires it must chase the records to the parent.
+    transfer.records = columns_.Extract([](uint64_t) { return true; });
+    retired_ = true;
   }
-  level_ = msg.new_level;
+  transfer_pending_ = true;
   UpdateRecordGauge(net);
   if (ParityEnabled()) {
-    // One parity update for the whole carve-out, stamped with the stepped-up
-    // level (the values now live in the transfer message).
+    // One parity update for the whole carve-out (the values now live in
+    // the transfer message).
     std::vector<ParityOp> parity_ops;
-    parity_ops.reserve(move.records.size());
-    for (const WireRecord& r : move.records) {
+    parity_ops.reserve(transfer.records.size());
+    for (const WireRecord& r : transfer.records) {
       ParityOp op = MakeEraseOp(r.key);
       op.delta = RankBuffer(r.key, r.value);
       parity_ops.push_back(std::move(op));
     }
-    EmitParity(net, std::move(parity_ops), false, msg.trace_id);
+    EmitParity(net, std::move(parity_ops), false, order.trace_id);
   }
-  if (log_ != nullptr) log_->MaybeCheckpoint(level_, retired_, columns_);
-  net.Send(std::move(move));
-
-  Message done;
-  done.type = MsgType::kSplitDone;
-  done.from = site_;
-  done.to = runtime_->CoordinatorSite();
-  done.key = bucket_number_;
-  done.trace_id = msg.trace_id;
-  net.Send(std::move(done));
+  // Last: a synchronous network runs the receiver, and with it the ack,
+  // before Send returns.
+  net.Send(std::move(transfer));
 }
 
-void LhBucketServer::HandleMoveRecords(Message& msg, Network& net) {
-  // Bulk load during a split: records arrive pre-addressed, no overflow
-  // report (a subsequent regular insert re-checks capacity). When the
-  // sender already wrote the bulk-put into this bucket's log (two-phase
-  // transfer), appending it again would only store a redundant duplicate
-  // frame.
-  if (!msg.records_durable && log_ != nullptr &&
-      !log_->AppendBulkPut(level_, msg.records)) {
+void LhBucketServer::HandleTransfer(const Message& msg, Network& net) {
+  // A split target arrives at its creation level; a merge parent steps
+  // down one level.
+  const bool split = msg.bucket_to_split < bucket_number_;
+  ESSDDS_CHECK(split == loading_ && msg.new_level + (split ? 0 : 1) == level_)
+      << "transfer from bucket " << msg.bucket_to_split << " at level "
+      << msg.new_level << " does not fit bucket " << bucket_number_
+      << " at level " << level_;
+  // The records reach this log before the ack, so once the sender logs
+  // its erase or clear they are durable here.
+  if (log_ != nullptr && !log_->AppendBulkPut(msg.new_level, msg.records)) {
     Halt();
     return;
   }
@@ -406,90 +387,55 @@ void LhBucketServer::HandleMoveRecords(Message& msg, Network& net) {
       parity_ops.push_back(MakeUpsertOp(r.key, r.value));
     }
   }
-  const bool was_loading = loading_;
   AboutToMutateRecords(net);
+  level_ = msg.new_level;
   columns_.Adopt(msg.records);
   UpdateRecordGauge(net);
-  // The loading transition must reach the parity sites even when the
-  // transfer is empty — their member state mirrors it for reconstruction.
-  EmitParity(net, std::move(parity_ops), was_loading, msg.trace_id);
-  if (log_ != nullptr) log_->MaybeCheckpoint(level_, retired_, columns_);
+  EmitParity(net, std::move(parity_ops), false, msg.trace_id);
+  MaybeCheckpoint();
+  SendTransferAck(msg.bucket_to_split, msg.trace_id, net);
+}
+
+void LhBucketServer::HandleTransferAck(const Message& msg, Network& net) {
   if (loading_) {
+    // The release: the parent's erase is durable, so a crash can no longer
+    // discard what this bucket acks. The parity sites mirror the loading
+    // flag for reconstruction.
     loading_ = false;
-    // Replay whatever raced the bulk load, in arrival order. Replays may
+    EmitParity(net, {}, /*clears_loading=*/true, msg.trace_id);
+    // Replay whatever raced the transfer, in arrival order. Replays may
     // send (replies, forwards, even a parked kMerge's transfer), which the
     // network schedules as usual.
     std::vector<Message> replay = std::move(parked_);
     parked_.clear();
     for (Message& m : replay) OnMessage(m, net);
-  }
-}
-
-void LhBucketServer::HandleMerge(const Message& msg, Network& net) {
-  if (msg.new_level + 1 != level_) {
-    // The coordinator dissolves this bucket assuming level new_level + 1,
-    // but a merge record transfer INTO this bucket (it was the parent of an
-    // earlier merge) is still in flight. Dissolving now would strand that
-    // transfer at a retired bucket; wait for the level to step down first.
-    ESSDDS_CHECK(msg.new_level + 1 < level_)
-        << "merge level mismatch: coordinator " << msg.new_level + 1
-        << " vs local " << level_;
-    stashed_control_.push_back(msg);
     return;
   }
-  // This bucket dissolves: every record returns to the parent it split off
-  // from, and the parent's level steps back down. Deferred scans resolve
-  // first (the extract below empties the store), then the transfer goes to
-  // the logs two-phase: the parent's bulk-put lands BEFORE this bucket's
-  // kClear. A crash between the two leaves the records in both logs — the
-  // still-live victim is dropped by the recovery repair rule (the parent's
-  // stepped-down level gives the interruption away) — never in neither. A
-  // replayed kClear marks the bucket retired, so recovery never resurrects
-  // records the parent now owns.
-  AboutToMutateRecords(net);
-  const uint64_t parent = msg.key;
-  Message move;
-  move.type = MsgType::kMergeRecords;
-  move.from = site_;
-  move.to = runtime_->SiteOfBucket(parent);
-  move.key = parent;  // lets a recovery proxy identify the target
-  move.new_level = msg.new_level;
-  move.trace_id = msg.trace_id;
-  move.records = columns_.Extract([](uint64_t) { return true; });
-  if (log_ != nullptr) {
-    persist::BucketLog* peer = runtime_->LogOfBucket(parent);
-    if (peer != nullptr) {
-      if (!peer->AppendBulkPut(msg.new_level, move.records)) {
-        Halt();
-        return;
-      }
-      move.records_durable = true;
-    }
-    if (!log_->AppendClear()) {
-      Halt();
-      return;
-    }
+  // The receiver holds the records durably: now this bucket may log that
+  // it let them go. A crash before this append leaves the records in both
+  // logs, and recovery keeps the parent's copy. A bucket rebuilt from
+  // parity mid-transfer owes nothing: its log was rewritten as a
+  // checkpoint of the rebuilt store. The ack names the receiver, so the
+  // kind needs no state: a split target lies above its parent.
+  const uint64_t target = msg.bucket_to_split;
+  const bool split = target > bucket_number_;
+  // Taken, not cleared: a kept capacity per split bucket adds up.
+  const std::vector<uint64_t> moved_keys = std::exchange(moved_keys_, {});
+  if (transfer_pending_ && log_ != nullptr &&
+      !(split ? log_->AppendEraseBulk(level_, moved_keys)
+              : log_->AppendClear())) {
+    Halt();
+    return;
   }
-  UpdateRecordGauge(net);
-  if (ParityEnabled()) {
-    // The dissolving bucket's whole rank range empties in one update.
-    std::vector<ParityOp> parity_ops;
-    parity_ops.reserve(move.records.size());
-    for (const WireRecord& r : move.records) {
-      ParityOp op = MakeEraseOp(r.key);
-      op.delta = RankBuffer(r.key, r.value);
-      parity_ops.push_back(std::move(op));
-    }
-    EmitParity(net, std::move(parity_ops), false, msg.trace_id);
+  transfer_pending_ = false;
+  if (split) {
+    MaybeCheckpoint();
+    SendTransferAck(target, msg.trace_id, net);  // the release
+  } else {
+    retired_ = true;  // already, unless rebuilt from parity mid-merge
   }
-  // Dissolved from this moment: an op that reaches this bucket before the
-  // coordinator retires it from the directory must chase the records to
-  // the parent, not read the empty store.
-  retired_ = true;
-  net.Send(std::move(move));
-
   Message done;
-  done.type = MsgType::kMergeDone;
+  done.type = split ? MsgType::kSplitDone : MsgType::kMergeDone;
   done.from = site_;
   done.to = runtime_->CoordinatorSite();
   done.key = bucket_number_;
@@ -497,57 +443,23 @@ void LhBucketServer::HandleMerge(const Message& msg, Network& net) {
   net.Send(std::move(done));
 }
 
-void LhBucketServer::HandleMergeRecords(Message& msg, Network& net) {
-  // Merges are serialized at the coordinator, but their record transfers
-  // travel on different links: a later merge's transfer (lower new_level)
-  // can overtake an earlier one's. Apply transfers strictly in level
-  // order — each step takes the level down by exactly one — and stash any
-  // that arrive early.
-  ESSDDS_CHECK(msg.new_level < level_)
-      << "merge level mismatch at bucket " << bucket_number_;
-  if (msg.new_level != level_ - 1) {
-    stashed_merge_records_.push_back(std::move(msg));
-    return;
-  }
-  // Apply this transfer, then every stashed one its level step unblocks
-  // (each unblocking the next). A transfer the dissolving bucket already
-  // wrote into this log (two-phase) is not appended again. One parity
-  // update per applied transfer: each carries its own stepped level, so the
-  // parity member mirror tracks the level sequence exactly.
-  const uint64_t trace_id = msg.trace_id;
-  Message transfer = std::move(msg);
-  for (;;) {
-    if (!transfer.records_durable && log_ != nullptr &&
-        !log_->AppendBulkPut(transfer.new_level, transfer.records)) {
-      Halt();
-      return;
-    }
-    AboutToMutateRecords(net);
-    std::vector<ParityOp> parity_ops;
-    if (ParityEnabled()) {
-      parity_ops.reserve(transfer.records.size());
-      for (const WireRecord& r : transfer.records) {
-        parity_ops.push_back(MakeUpsertOp(r.key, r.value));
-      }
-    }
-    level_ = transfer.new_level;
-    columns_.Adopt(transfer.records);
-    EmitParity(net, std::move(parity_ops), false, trace_id);
-    auto next = std::find_if(
-        stashed_merge_records_.begin(), stashed_merge_records_.end(),
-        [&](const Message& m) { return m.new_level + 1 == level_; });
-    if (next == stashed_merge_records_.end()) break;
-    transfer = std::move(*next);
-    stashed_merge_records_.erase(next);
-  }
-  UpdateRecordGauge(net);
-  if (log_ != nullptr) log_->MaybeCheckpoint(level_, retired_, columns_);
-  // The level came down: a split or merge order stashed while this transfer
-  // was in flight may be runnable now (it re-stashes if still early).
-  if (!stashed_control_.empty()) {
-    std::vector<Message> replay = std::move(stashed_control_);
-    stashed_control_.clear();
-    for (Message& m : replay) OnMessage(m, net);
+void LhBucketServer::SendTransferAck(uint64_t bucket, uint64_t trace_id,
+                                     Network& net) {
+  Message ack;
+  ack.type = MsgType::kTransferAck;
+  ack.from = site_;
+  ack.key = bucket;
+  // By bucket, not by site: a peer rebuilt from parity in the meantime
+  // serves the same bucket from a new site.
+  ack.to = runtime_->SiteOfBucket(bucket);
+  ack.bucket_to_split = bucket_number_;
+  ack.trace_id = trace_id;
+  net.Send(std::move(ack));
+}
+
+void LhBucketServer::MaybeCheckpoint() {
+  if (log_ != nullptr && !transfer_pending_) {
+    log_->MaybeCheckpoint(level_, retired_, columns_);
   }
 }
 
@@ -777,6 +689,11 @@ void LhCoordinator::OnMessage(Message& msg, Network& net) {
         split_pointer_ = 0;
         ++level_;
       }
+      if (owed_split_trace_) {
+        const uint64_t trace_id = *owed_split_trace_;
+        owed_split_trace_.reset();
+        if (recovering_ == 0) PerformSplit(net, trace_id);
+      }
       return;
     case MsgType::kUnderflow:
       if (recovering_ == 0) PerformMerge(net, msg.trace_id);
@@ -977,11 +894,15 @@ void LhCoordinator::PerformMerge(Network& net, uint64_t trace_id) {
 
 void LhCoordinator::PerformSplit(Network& net, uint64_t trace_id) {
   // An overflow report can arrive while a split (or merge) is already in
-  // flight — on a real network the reports race the kSplitDone ack. The
-  // report is then already served by the in-flight restructuring: drop it,
-  // exactly as PerformMerge drops concurrent underflow reports. (A bucket
-  // still overflowing afterwards reports again on its next insert.)
-  if (split_in_progress_ || merge_in_progress_) return;
+  // flight — on a real network the reports race the acknowledged transfer.
+  // One racing a split is owed a split once it lands: the reporter may
+  // still overflow, and it reports again only on its next insert. Reports
+  // racing a merge are dropped, as PerformMerge drops concurrent
+  // underflow reports.
+  if (split_in_progress_ || merge_in_progress_) {
+    if (split_in_progress_ && !owed_split_trace_) owed_split_trace_ = trace_id;
+    return;
+  }
   split_in_progress_ = true;
   net.metrics().counter("coord.splits").Increment();
   const uint64_t old_bucket = split_pointer_;

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -16,15 +17,18 @@ namespace essdds::sdds {
 /// One LH* bucket server. Holds the records whose linear-hash address is
 /// this bucket's number, verifies incoming addresses against its own level
 /// (forwarding mis-addressed requests, at most twice per the LH* guarantee),
-/// answers scans, and executes its half of the split protocol.
+/// answers scans, and runs either end of the record transfer that splits
+/// and merges share.
 ///
-/// Reordering robustness (event networks): a bucket born of a split starts
-/// in a loading state and parks every message until its kMoveRecords bulk
-/// transfer lands — requests racing the transfer would otherwise be served
-/// from an empty store, and a merge racing it would dissolve the bucket with
-/// its records still in flight. Merge record transfers arriving out of
-/// order (a later merge's records overtaking an earlier merge's on a
-/// different link) are stashed until the level sequence catches up.
+/// The transfer is acknowledged (DESIGN.md §14): the receiver logs and
+/// adopts the records, then acks; the sender logs its erase (split) or
+/// clear (merge) only after the ack, and only then reports done to the
+/// coordinator. A bucket born of a split starts in a loading state and
+/// parks every message until its parent's erase is durable (the parent's
+/// second ack releases it): serving earlier would answer from an empty
+/// store, or ack writes that a crash between the two log writes discards.
+/// Because done follows the receiver's adoption, the coordinator's next
+/// order never overtakes a transfer still in flight.
 class LhBucketServer : public Site {
  public:
   LhBucketServer(LhRuntime* runtime, const LhOptions& options,
@@ -59,9 +63,12 @@ class LhBucketServer : public Site {
   void Retire() { retired_ = true; }
   bool retired() const { return retired_; }
 
-  /// True while this bucket awaits its kMoveRecords transfer (split target
-  /// whose bulk load is still in flight).
+  /// True while this split target awaits its records or the release that
+  /// follows its parent's durable erase.
   bool loading() const { return loading_; }
+
+  /// True while a transfer this bucket sent awaits its kTransferAck.
+  bool transfer_pending() const { return transfer_pending_; }
 
   /// Attaches (or detaches, with nullptr) this bucket's durable log. With a
   /// log attached every record mutation appends before it is
@@ -85,8 +92,8 @@ class LhBucketServer : public Site {
   /// Adopts state reconstructed from parity (site-kill recovery): records
   /// with their rank assignments (the group's parity rows keep addressing
   /// the same slots), the parity update sequence to continue from, and the
-  /// loading flag (a bucket that died awaiting its bulk load resumes
-  /// waiting — the transfer redelivers).
+  /// loading flag (a split target that died loading resumes waiting — the
+  /// transfer or the release redelivers).
   void RestoreRebuilt(RebuiltBucket state);
 
   /// Parity updates this bucket has emitted (its per-member sequence).
@@ -120,10 +127,19 @@ class LhBucketServer : public Site {
 
   void HandleKeyOp(Message& msg, Network& net);
   void HandleScan(Message& msg, Network& net);
-  void HandleSplit(const Message& msg, Network& net);
-  void HandleMoveRecords(Message& msg, Network& net);
-  void HandleMerge(const Message& msg, Network& net);
-  void HandleMergeRecords(Message& msg, Network& net);
+  /// Sender half of a split (kSplit) or merge (kMerge) order: carves out
+  /// the records, ships one kTransfer, and waits for its ack.
+  void StartTransfer(const Message& order, Network& net);
+  /// Receiver half: logs and adopts the records, then acks.
+  void HandleTransfer(const Message& msg, Network& net);
+  /// At the sender, logs the owed erase/clear and reports done; at a
+  /// loading split target, the release that lets it serve.
+  void HandleTransferAck(const Message& msg, Network& net);
+  /// Sends a kTransferAck to `bucket`, the other end of the transfer.
+  void SendTransferAck(uint64_t bucket, uint64_t trace_id, Network& net);
+  /// Checkpoint policy hook, held off while a transfer is pending: a
+  /// snapshot would make the erase durable before the receiver's copy.
+  void MaybeCheckpoint();
 
   /// `trace_id` ties the report (and the restructuring it triggers) to the
   /// client op whose mutation crossed the threshold.
@@ -179,20 +195,16 @@ class LhBucketServer : public Site {
   uint32_t level_;
   SiteId site_ = kInvalidSite;
   bool retired_ = false;
-  /// Every bucket except the root is created by a split and must absorb its
-  /// kMoveRecords transfer before serving; messages that arrive earlier
-  /// park in `parked_` and replay in arrival order once the load lands.
+  /// Every bucket except the root is created by a split and must not serve
+  /// until its parent has logged the erase of the records it received;
+  /// messages that arrive earlier park in `parked_` and replay in arrival
+  /// order at the release.
   bool loading_;
   std::vector<Message> parked_;
-  /// kMergeRecords transfers that overtook an earlier merge's (their level
-  /// step doesn't yet fit); applied once the level sequence catches up.
-  std::vector<Message> stashed_merge_records_;
-  /// Restructuring orders (kSplit / kMerge) that overtook the merge record
-  /// transfer which steps this bucket's level down to the level the
-  /// coordinator computed them against. The coordinator serializes
-  /// restructurings, so at most one order can wait here; it replays once
-  /// the pending transfer lands.
-  std::vector<Message> stashed_control_;
+  /// Set from sending a kTransfer to its ack; `moved_keys_` holds a split's
+  /// carve-out until the ack lets the erase reach the log.
+  bool transfer_pending_ = false;
+  std::vector<uint64_t> moved_keys_;
   /// The bucket's records: single-record ops edit it in place, bulk
   /// transfers adopt or extract with one repack, and scan tasks borrow its
   /// slice so matching streams the arena.
@@ -302,6 +314,8 @@ class LhCoordinator : public Site {
   uint64_t split_pointer_ = 0;  // n
   bool split_in_progress_ = false;
   bool merge_in_progress_ = false;
+  /// Trace id of an overflow report that raced the split in flight.
+  std::optional<uint64_t> owed_split_trace_;
   uint64_t extent_ = 1;  // buckets currently in the file
 };
 

@@ -163,10 +163,6 @@ void LhSystem::RetireLastBucket() {
   servers_.pop_back();
 }
 
-persist::BucketLog* LhSystem::LogOfBucket(uint64_t bucket) {
-  return persist_ == nullptr ? nullptr : persist_->log(bucket);
-}
-
 const ScanFilter& LhSystem::FilterById(uint64_t filter_id) const {
   ESSDDS_CHECK(filter_id < filters_.size())
       << "unknown scan filter " << filter_id;

@@ -59,7 +59,6 @@ class LhSystem : public LhRuntime {
   const ScanFilter& FilterById(uint64_t filter_id) const override;
   const LhOptions& options() const override { return options_; }
   void RetireLastBucket() override;
-  persist::BucketLog* LogOfBucket(uint64_t bucket) override;
 
   // --- LhRuntime, high availability (DESIGN.md §16) ---
   std::vector<SiteId> ParitySitesOfBucket(uint64_t bucket) const override;

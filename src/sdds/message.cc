@@ -28,16 +28,16 @@ std::string_view MsgTypeToString(MsgType t) {
       return "Overflow";
     case MsgType::kSplit:
       return "Split";
-    case MsgType::kMoveRecords:
-      return "MoveRecords";
+    case MsgType::kTransfer:
+      return "Transfer";
     case MsgType::kSplitDone:
       return "SplitDone";
     case MsgType::kUnderflow:
       return "Underflow";
     case MsgType::kMerge:
       return "Merge";
-    case MsgType::kMergeRecords:
-      return "MergeRecords";
+    case MsgType::kTransferAck:
+      return "TransferAck";
     case MsgType::kMergeDone:
       return "MergeDone";
     case MsgType::kParityUpdate:
@@ -94,10 +94,13 @@ size_t Message::AccountedBytes() const {
     case MsgType::kMergeDone:
       n += 8 + 4;
       break;
-    case MsgType::kMoveRecords:
-    case MsgType::kMergeRecords:
-      n += 4;
+    case MsgType::kTransfer:
+      // receiving bucket + sending bucket + new level, then the records.
+      n += 8 + 8 + 4;
       for (const WireRecord& r : records) n += 8 + r.value.size();
+      break;
+    case MsgType::kTransferAck:
+      n += 8 + 8;
       break;
     case MsgType::kParityUpdate:
     case MsgType::kReconstructSlice:

@@ -29,18 +29,20 @@ enum class MsgType : uint8_t {
   // buckets the client's stale image missed.
   kScan,
   kScanReply,
-  // Split protocol: overflowing bucket -> coordinator; coordinator ->
-  // splitting bucket; splitting bucket -> new bucket (bulk move).
+  // Split and merge (file growth and shrinking): overflowing/underflowing
+  // bucket -> coordinator; coordinator -> splitting/dissolving bucket;
+  // that bucket -> the receiving bucket (kTransfer: the moved records and
+  // the receiver's new level); receiver -> sender once it has logged and
+  // adopted them (kTransferAck); for a split, sender -> new bucket once
+  // the erase is logged (kTransferAck again: the release); sender ->
+  // coordinator (done).
   kOverflow,
   kSplit,
-  kMoveRecords,
+  kTransfer,
   kSplitDone,
-  // Merge protocol (file shrinking): underflowing bucket -> coordinator;
-  // coordinator -> dissolving bucket; dissolving bucket -> parent (bulk
-  // move + level adjustment).
   kUnderflow,
   kMerge,
-  kMergeRecords,
+  kTransferAck,
   kMergeDone,
   // Parity / recovery protocol (LH*RS-style high availability). A data
   // bucket streams batched rank deltas to the parity sites of its group;
@@ -102,8 +104,8 @@ struct Message {
   uint64_t request_id = 0;
   /// Observability: identifies the client operation this message serves,
   /// carried across forwards, retransmissions, scan fan-out, and the
-  /// restructuring an op triggers (overflow -> split -> move), so one op's
-  /// full causal path can be reassembled from the trace ring. 0 = untraced
+  /// restructuring an op triggers (overflow -> split -> transfer), so one
+  /// op's full causal path can be reassembled from the trace ring. 0 = untraced
   /// (metrics compiled out, or protocol background with no triggering op).
   /// Not charged by AccountedBytes: a production deployment would ship it
   /// only in a diagnostic header, and message/byte counters must stay
@@ -133,17 +135,11 @@ struct Message {
   /// Level the sender assumed for the destination bucket; receiving buckets
   /// with a deeper level forward to the children the sender did not know.
   uint32_t assumed_level = 0;
-  std::vector<WireRecord> records;  // scan hits / bulk moves
+  std::vector<WireRecord> records;  // scan hits / transfers
 
   // --- split protocol ---
   uint64_t bucket_to_split = 0;
   uint32_t new_level = 0;
-  /// In-process flag on kMoveRecords/kMergeRecords: the sender already wrote
-  /// the bulk-put into the RECEIVER's log (two-phase transfer; see
-  /// LhRuntime::LogOfBucket), so the receiver must not append it again.
-  /// Deliberately NOT on the wire: Encode/Decode drop it, and a receiver that
-  /// misses it merely re-appends an idempotent duplicate frame.
-  bool records_durable = false;
 
   /// Simulated serialized size in bytes (header + active payload).
   /// Cheaper than Encode().size(): counts only the fields `type` activates,

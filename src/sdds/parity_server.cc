@@ -219,6 +219,11 @@ void ParityServer::OnMessage(Message& msg, Network& net) {
         peer_proxy_site_ = msg.from;
         for (int i = 0; i < k_; ++i) DrainReady(i, net);
         CheckPeerConverged(net);
+      } else if (msg.filter_id == 0) {
+        // A member freeze whose member died before answering: declaring
+        // it redirects its letters here, and the gather already counts it
+        // dead (the tick folds killed members in), so it needs no reply.
+        return;
       } else {
         ESSDDS_CHECK(msg.filter_id == 2)
             << "parity site got reconstruct mode " << msg.filter_id;
@@ -311,11 +316,11 @@ void ParityServer::OnMessage(Message& msg, Network& net) {
         return;
       }
       if (shadow_.at(member).loading) {
-        // The dead bucket was a split target still loading: part of its
-        // records sit in the parked kMoveRecords transfer, which only the
-        // rebuilt bucket can absorb. A loading bucket parks client ops
-        // (lh_server.cc) — its shadow must too, or the proxy answers an
-        // authoritative "not found" for a record that is merely in transit.
+        // The dead bucket was a split target still loading: its records
+        // may sit in the parked kTransfer, which only the rebuilt bucket
+        // can absorb. A loading bucket parks client ops (lh_server.cc) —
+        // its shadow must too, or the proxy answers an authoritative "not
+        // found" for a record that is merely in transit.
         const auto dedup = std::make_pair(msg.reply_to, msg.request_id);
         if (!parked_ops_.count(dedup)) parked_ops_.emplace(dedup, std::move(msg));
         return;
@@ -364,10 +369,13 @@ void ParityServer::OnMessage(Message& msg, Network& net) {
     case MsgType::kDelete:
     case MsgType::kSplit:
     case MsgType::kMerge:
-    case MsgType::kMoveRecords:
-    case MsgType::kMergeRecords: {
-      // Mutations addressed to a dead bucket wait for the rebuilt server.
-      // Client retries of the same op park only once.
+    case MsgType::kTransfer:
+    case MsgType::kTransferAck: {
+      // Mutations and transfer steps addressed to a dead bucket wait for
+      // the rebuilt server: an ack finishes a rebuilt sender's transfer
+      // (it names the receiver, so the sender needs no other state), a
+      // release frees a rebuilt split target. Client retries of the same
+      // op park only once.
       if (msg.type == MsgType::kInsert || msg.type == MsgType::kDelete) {
         const auto dedup = std::make_pair(msg.reply_to, msg.request_id);
         if (parked_ops_.count(dedup)) return;
@@ -726,8 +734,8 @@ void ParityServer::InstallRebuild(int member, Network& net) {
           target = ParentBucket(target);
         }
         break;
-      case MsgType::kMoveRecords:
-      case MsgType::kMergeRecords:
+      case MsgType::kTransfer:
+      case MsgType::kTransferAck:
       case MsgType::kScan:  // parked off a loading shadow; carries its bucket
         target = op.key;
         break;

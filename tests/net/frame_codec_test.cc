@@ -208,7 +208,7 @@ TEST(FrameCodecFuzz, TruncationSweepNeverYieldsFrame) {
 
 TEST(FrameCodecFuzz, SingleByteMutationsNeverCrash) {
   sdds::Message msg;
-  msg.type = sdds::MsgType::kMoveRecords;
+  msg.type = sdds::MsgType::kTransfer;
   for (uint64_t k = 0; k < 16; ++k) {
     msg.records.push_back(sdds::WireRecord{k, Bytes(32, uint8_t(k))});
   }

@@ -347,7 +347,7 @@ TEST_F(SocketE2eTest, KilledServerYieldsUnavailableNotAHang) {
 /// whenever the host count divides 2^level, a splitting bucket b and its
 /// child b + 2^level land on the SAME host (already at 2 hosts: bucket 1
 /// splits to bucket 3, both on host 1, a non-coordinator). The parent's
-/// kMoveRecords to the child is then a purely local hop — it never crosses
+/// kTransfer to the child is then a purely local hop — it never crosses
 /// the network — so local delivery must materialize the child exactly as a
 /// network frame would, or every moved record is silently dropped while the
 /// coordinator still sees kSplitDone. The 3-host cluster above never

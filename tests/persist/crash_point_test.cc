@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "persist/bucket_log.h"
 #include "persist/persist_manager.h"
 #include "sdds/lh_server.h"
@@ -287,7 +290,7 @@ TEST_F(CrashPointTest, SweepThroughCheckpointRewrites) {
 // ---- Multi-bucket sweep: crashes inside split and merge record transfers.
 //
 // The single-bucket harness above never restructures, so it cannot reach
-// the transfer windows: the instants between the two-phase log writes of a
+// the transfer windows: the instants between the two log writes of a
 // split carve-out or a merge dissolution. Here a full LhSystem grows (many
 // splits), shrinks (merges), and regrows (bucket-number reuse) while a tear
 // is armed on ONE chosen bucket's log; the moment it fires counts as a
@@ -379,6 +382,14 @@ std::vector<Op> GrowShrinkScript() {
 struct SysOutcome {
   std::map<uint64_t, Bytes> acked;
   bool crashed = false;
+  size_t ops_acked = 0;  // script ops that came back acknowledged
+};
+
+/// The file after one op of a run: its extent and each bucket log's
+/// cumulative write count (the coordinates TearSpec offsets use).
+struct OpShape {
+  uint64_t extent = 0;
+  std::map<uint64_t, uint64_t> log_bytes;
 };
 
 /// Runs the script against a log-backed LhSystem, driving raw key ops from
@@ -390,7 +401,8 @@ SysOutcome RunSystemWorkload(const std::string& dir,
                              const std::vector<Op>& script,
                              uint64_t tear_bucket,
                              const BucketLog::TearSpec* spec,
-                             std::map<uint64_t, uint64_t>* log_bytes_out) {
+                             std::map<uint64_t, uint64_t>* log_bytes_out,
+                             std::vector<OpShape>* shapes_out = nullptr) {
   TearingSystem sys(SystemOptions(dir), tear_bucket, spec);
   AckSink sink;
   const SiteId sink_site = sys.network().Register(&sink);
@@ -417,6 +429,16 @@ SysOutcome RunSystemWorkload(const std::string& dir,
     } else {
       out.acked.erase(op.key);
     }
+    ++out.ops_acked;
+    if (shapes_out != nullptr) {
+      OpShape shape;
+      shape.extent = sys.bucket_count();
+      // Retired buckets keep their logs: a merge's victim is counted too.
+      for (uint64_t b = 0; sys.persist()->log(b) != nullptr; ++b) {
+        shape.log_bytes[b] = sys.persist()->log(b)->cumulative_bytes_written();
+      }
+      shapes_out->push_back(std::move(shape));
+    }
     if (sys.TearFired()) {
       // The op itself was acked (append-before-ack ran before the
       // restructuring), but the split/merge it triggered died partway.
@@ -437,11 +459,18 @@ SysOutcome RunSystemWorkload(const std::string& dir,
 /// Restarts a fresh system over `dir` and checks the acked state came back
 /// exactly once: the merged record map, the total count
 /// (a duplicated transfer would inflate it), and real client lookups (which
-/// exercise recovered levels, extent, and routing).
+/// exercise recovered levels, extent, and routing). `repaired_out`, when
+/// set, receives how many interrupted transfers the recovery repaired (0
+/// with metrics compiled out).
 void VerifySystemRecovery(const std::string& dir,
                           const std::map<uint64_t, Bytes>& want,
-                          const std::string& label) {
+                          const std::string& label,
+                          uint64_t* repaired_out = nullptr) {
   LhSystem sys(SystemOptions(dir));
+  if (repaired_out != nullptr) {
+    *repaired_out =
+        sys.network().metrics().counter("persist.repaired_transfers").value();
+  }
   std::map<uint64_t, Bytes> got;
   uint64_t total = 0;
   for (uint64_t b = 0; b < sys.bucket_count(); ++b) {
@@ -496,6 +525,56 @@ TEST_F(CrashPointTest, MultiBucketSplitMergeSweep) {
   EXPECT_GE(point, 50u) << "sweep thinner than the durability bar requires";
   EXPECT_GT(crashed_runs, point / 2)
       << "tear offsets mostly missed the write streams";
+}
+
+TEST_F(CrashPointTest, SenderTearAfterTransferAckKeepsParentCopy) {
+  // A transfer's sender logs its erase (split) or clear (merge) only after
+  // the receiver acked its logged copy: that append is the last frame the
+  // sender writes in the op that restructured the file. Tear exactly it,
+  // for every split and merge of the grow and shrink phases: the records
+  // sit in both logs, and recovery must keep the parent's copy (the split
+  // sender's, the merge receiver's) — exactly once, one repair per run.
+  const std::vector<Op> script = GrowShrinkScript();
+  std::vector<OpShape> shapes;
+  const SysOutcome dry = RunSystemWorkload(Dir("dry"), script, kNoTearBucket,
+                                           nullptr, nullptr, &shapes);
+  ASSERT_FALSE(dry.crashed);
+  ASSERT_EQ(shapes.size(), script.size());
+
+  size_t splits = 0;
+  size_t merges = 0;
+  uint64_t extent = 1;
+  for (size_t i = 0; i < shapes.size(); ++i) {
+    const uint64_t before = std::exchange(extent, shapes[i].extent);
+    if (extent == before) continue;
+    const bool split = extent > before;
+    // Regrowth reuses bucket numbers under fresh logs, whose write counts
+    // restart; TearingSystem arms by number, so stop before it.
+    if (split && merges > 0) break;
+    const uint64_t top = split ? extent - 1 : before - 1;
+    const uint64_t sender = split ? top - std::bit_floor(top) : top;
+    BucketLog::TearSpec spec;
+    spec.at_cumulative_byte = shapes[i].log_bytes.at(sender) - 1;
+    spec.corrupt = (i % 2) == 1;
+    const std::string label =
+        std::string(split ? "split" : "merge") + " at op " +
+        std::to_string(i) + ", sender " + std::to_string(sender) +
+        (spec.corrupt ? "/corrupt" : "/truncate");
+    const std::string dir = Dir("op" + std::to_string(i));
+    const SysOutcome torn =
+        RunSystemWorkload(dir, script, sender, &spec, nullptr);
+    EXPECT_TRUE(torn.crashed) << label;
+    EXPECT_EQ(torn.ops_acked, i + 1) << label << ": tear fired elsewhere";
+    uint64_t repaired = 0;
+    VerifySystemRecovery(dir, torn.acked, label, &repaired);
+    if (obs::kMetricsEnabled) {
+      EXPECT_EQ(repaired, 1u) << label << ": both copies expected on disk";
+    }
+    std::filesystem::remove_all(dir);
+    ++(split ? splits : merges);
+  }
+  EXPECT_GE(splits, 20u) << "grow phase split too little";
+  EXPECT_GE(merges, 16u) << "shrink phase merged too little";
 }
 
 TEST_F(CrashPointTest, TearDuringCheckpointKeepsOldLogIntact) {

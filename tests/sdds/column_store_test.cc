@@ -396,7 +396,7 @@ testing::AssertionResult BucketsHoldModelWhereKeysRoute(
 
 TEST(ColumnStoreTest, BucketsMirrorMapsThroughSplits) {
   // Growth direction: inserts drive the file through many splits
-  // (carve-outs, kMoveRecords adoption); the bucket stores must hold
+  // (carve-outs, kTransfer adoption); the bucket stores must hold
   // exactly the client's model, each key where it routes.
   const LhOptions options{.bucket_capacity = 8};
   LhSystem sys(options);
@@ -414,7 +414,7 @@ TEST(ColumnStoreTest, BucketsMirrorMapsThroughSplits) {
 
 TEST(ColumnStoreTest, BucketsMirrorMapsThroughMergesAndChurn) {
   // Shrink direction: deletes trigger merges (dissolution extracts,
-  // kMergeRecords adoption), interleaved with fresh inserts and
+  // kTransfer adoption), interleaved with fresh inserts and
   // replacements.
   const LhOptions options{.bucket_capacity = 8, .merge_threshold = 0.4};
   LhSystem sys(options);

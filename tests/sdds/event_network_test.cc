@@ -120,7 +120,7 @@ TEST(EventNetworkTest, DropsCountSeparatelyAndOnlyEligibleTypes) {
     net.Send(KeyedMessage(MsgType::kLookup, sa, sb, k));  // eligible
   }
   for (uint64_t k = 0; k < 50; ++k) {
-    net.Send(KeyedMessage(MsgType::kMoveRecords, sa, sb, k));  // protected
+    net.Send(KeyedMessage(MsgType::kTransfer, sa, sb, k));  // protected
   }
   net.PumpUntilIdle();
   const NetworkStats& st = net.stats();
@@ -132,7 +132,7 @@ TEST(EventNetworkTest, DropsCountSeparatelyAndOnlyEligibleTypes) {
   // Bulk record transfers are never dropped: all 50 arrived.
   size_t moves = 0;
   for (const Message& m : b.received) {
-    if (m.type == MsgType::kMoveRecords) ++moves;
+    if (m.type == MsgType::kTransfer) ++moves;
   }
   EXPECT_EQ(moves, 50u);
 }
@@ -213,11 +213,19 @@ LhOptions EventOptions(uint64_t seed) {
   return o;
 }
 
+/// Built by append: GCC 12 false-positives -Wrestrict on the
+/// temporary-chaining form under -O2, and CI compiles with -Werror.
+Bytes Val(uint64_t k) {
+  std::string s = "v";
+  s += std::to_string(k);
+  return ToBytes(s);
+}
+
 TEST(EventNetworkSystemTest, InsertLookupDeleteAcrossSplits) {
   LhSystem sys(EventOptions(2024));
   LhClient* c = sys.NewClient();
   for (uint64_t k = 0; k < 200; ++k) {
-    EXPECT_FALSE(c->Insert(k, ToBytes("v" + std::to_string(k))));
+    EXPECT_FALSE(c->Insert(k, Val(k)));
   }
   sys.network().PumpUntilIdle();  // let restructuring settle
   EXPECT_GT(sys.bucket_count(), 1u) << "capacity 8 must have split";
@@ -225,7 +233,7 @@ TEST(EventNetworkSystemTest, InsertLookupDeleteAcrossSplits) {
   for (uint64_t k = 0; k < 200; ++k) {
     auto r = c->Lookup(k);
     ASSERT_TRUE(r.ok()) << "key " << k;
-    EXPECT_EQ(*r, ToBytes("v" + std::to_string(k)));
+    EXPECT_EQ(*r, Val(k));
   }
   EXPECT_TRUE(c->Delete(77).ok());
   EXPECT_TRUE(c->Lookup(77).status().IsNotFound());

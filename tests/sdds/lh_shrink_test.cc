@@ -10,7 +10,13 @@
 namespace essdds::sdds {
 namespace {
 
-Bytes Val(uint64_t k) { return ToBytes("v" + std::to_string(k)); }
+/// Built by append: GCC 12 false-positives -Wrestrict on the
+/// temporary-chaining form under -O2, and CI compiles with -Werror.
+Bytes Val(uint64_t k) {
+  std::string s = "v";
+  s += std::to_string(k);
+  return ToBytes(s);
+}
 
 LhOptions ShrinkingOptions() {
   return LhOptions{.bucket_capacity = 8, .merge_threshold = 0.25};
@@ -279,7 +285,10 @@ TEST(LhShrinkTest, MergeTrafficIsAccounted) {
   EXPECT_EQ(st.per_type.at(MsgType::kMerge),
             st.per_type.at(MsgType::kMergeDone));
   EXPECT_EQ(st.per_type.at(MsgType::kMerge),
-            st.per_type.at(MsgType::kMergeRecords));
+            st.per_type.at(MsgType::kTransfer));
+  // A merge parent serves once it has adopted: one ack, no release.
+  EXPECT_EQ(st.per_type.at(MsgType::kMerge),
+            st.per_type.at(MsgType::kTransferAck));
 }
 
 }  // namespace

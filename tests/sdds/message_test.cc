@@ -44,7 +44,7 @@ TEST(MessageWireTest, RoundTripsEveryField) {
 }
 
 TEST(MessageWireTest, RoundTripsEveryMessageType) {
-  for (uint8_t t = 0; t <= static_cast<uint8_t>(MsgType::kMergeDone); ++t) {
+  for (uint8_t t = 0; t <= static_cast<uint8_t>(MsgType::kRecoveryTick); ++t) {
     Message m;
     m.type = static_cast<MsgType>(t);
     m.request_id = t;

@@ -76,7 +76,7 @@ TEST(SimNetworkTest, SiteCountTracksRegistrations) {
 }
 
 TEST(MessageTest, EveryTypeHasAName) {
-  for (int t = 0; t <= static_cast<int>(MsgType::kMergeDone); ++t) {
+  for (int t = 0; t <= static_cast<int>(MsgType::kRecoveryTick); ++t) {
     EXPECT_NE(MsgTypeToString(static_cast<MsgType>(t)), "Unknown")
         << "type " << t;
   }

@@ -1,15 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <filesystem>
 #include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
+#include "persist/bucket_log.h"
+#include "sdds/event_network.h"
 #include "sdds/lh_system.h"
 #include "util/random.h"
 
@@ -216,6 +220,106 @@ TEST_F(PersistenceSystemTest, EventNetworkPauseResumeThenRestart) {
     auto r = c->Lookup(k);
     ASSERT_TRUE(r.ok()) << "key " << k;
     EXPECT_EQ(*r, Val(k));
+  }
+}
+
+/// Records every reply addressed to it.
+class ReplySink : public Site {
+ public:
+  void OnMessage(Message& msg, Network& net) override {
+    (void)net;
+    replies.push_back(std::move(msg));
+  }
+  std::vector<Message> replies;
+};
+
+TEST_F(PersistenceSystemTest, SplitTargetAcksNothingBeforeParentEraseIsLogged) {
+  // The window between a split target's logged copy of its records and
+  // the parent's logged erase: a crash there leaves the records in both
+  // logs, and recovery keeps the parent's. A write the target acked in
+  // that window would live only in the dropped copy. Hold the parent
+  // (paused, the target's ack parked before it), overwrite a moved key at
+  // the target, tear the parent's erase, restart: the write must be
+  // unacknowledged or survive.
+  LhOptions opts = Options();
+  opts.network_mode = NetworkMode::kEvent;
+  opts.event_net.seed = 9;
+  std::map<uint64_t, Bytes> acked;
+  uint64_t moved_key = 0;
+  const Bytes overwrite = ToBytes("written-in-the-window");
+  bool overwrite_acked = false;
+  {
+    LhSystem sys(opts);
+    EventNetwork* net = sys.event_network();
+    ReplySink sink;
+    const SiteId sink_site = net->Register(&sink);
+    std::map<uint64_t, std::pair<uint64_t, Bytes>> sent;  // request -> op
+    auto send_insert = [&](SiteId to, uint64_t key, Bytes value) {
+      Message m;
+      m.type = MsgType::kInsert;
+      m.from = sink_site;
+      m.reply_to = sink_site;
+      m.to = to;
+      m.request_id = sent.size() + 1;
+      m.key = key;
+      m.value = value;
+      sent.emplace(m.request_id, std::make_pair(key, std::move(value)));
+      net->Send(std::move(m));
+    };
+
+    // Insert one key at a time, pumping event by event, until a split has
+    // moved records: the target holds them while its parent still awaits
+    // the ack.
+    uint64_t parent = 0;
+    uint64_t child = 0;
+    bool caught = false;
+    for (uint64_t k = 1; k <= 64 && !caught; ++k) {
+      send_insert(sys.bucket(0).site(), k, Val(k));
+      while (!caught && net->Pump()) {
+        for (uint64_t b = 1; b < sys.bucket_count(); ++b) {
+          const uint64_t p = b - std::bit_floor(b);
+          if (sys.bucket(p).transfer_pending() &&
+              sys.bucket(b).record_count() > 0) {
+            parent = p;
+            child = b;
+            caught = true;
+          }
+        }
+      }
+    }
+    ASSERT_TRUE(caught) << "no split moved records";
+    net->PauseSite(sys.bucket(parent).site());
+    moved_key = sys.bucket(child).records().begin()->first;
+    send_insert(sys.bucket(child).site(), moved_key, overwrite);
+    net->PumpUntilIdle();
+
+    persist::BucketLog* parent_log = sys.mutable_bucket(parent).log();
+    ASSERT_NE(parent_log, nullptr);
+    parent_log->ArmTear(
+        {.at_cumulative_byte = parent_log->cumulative_bytes_written() + 4,
+         .corrupt = false});
+    net->ResumeSite(sys.bucket(parent).site());
+    net->PumpUntilIdle();
+    ASSERT_TRUE(sys.bucket(parent).halted()) << "the parent's erase never tore";
+
+    for (const Message& reply : sink.replies) {
+      ASSERT_EQ(reply.type, MsgType::kInsertAck);
+      auto& [key, value] = sent.at(reply.request_id);
+      acked[key] = value;
+      if (key == moved_key && value == overwrite) overwrite_acked = true;
+    }
+  }
+
+  LhSystem sys(opts);
+  LhClient* c = sys.NewClient();
+  for (const auto& [key, value] : acked) {
+    auto r = c->Lookup(key);
+    ASSERT_TRUE(r.ok()) << "acked key " << key << " lost";
+    if (key == moved_key && !overwrite_acked) {
+      EXPECT_TRUE(*r == value || *r == overwrite) << "key " << key;
+    } else {
+      EXPECT_EQ(*r, value) << "acked value of key " << key << " lost";
+    }
   }
 }
 
