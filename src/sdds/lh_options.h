@@ -291,6 +291,10 @@ struct RebuiltBucket {
   /// release; the rebuilt server starts parked the same way (the transfer
   /// or the release redelivers to it).
   bool loading = false;
+  /// The bucket died as a merge victim after shipping its records and
+  /// before their ack: the rebuilt server forwards every op to the parent,
+  /// as the victim did, until the ack lets it report the merge done.
+  bool retired = false;
   /// Parity updates the bucket had emitted; the rebuilt server continues
   /// the per-member sequence from here.
   uint64_t parity_seq = 0;

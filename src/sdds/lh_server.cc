@@ -48,7 +48,8 @@ LhBucketServer::LhBucketServer(LhRuntime* runtime, const LhOptions& options,
       // Every bucket but the root is born of a split: it owns nothing until
       // its transfer lands, and must not serve before its release.
       loading_(bucket_number != 0),
-      parity_level_emitted_(level) {
+      parity_level_emitted_(level),
+      parity_flags_emitted_(ParityMemberFlags()) {
   ESSDDS_CHECK(runtime != nullptr);
 }
 
@@ -94,6 +95,7 @@ void LhBucketServer::RestoreRecovered(
     }
     parity_seq_ = 0;
     parity_level_emitted_ = level_;
+    parity_flags_emitted_ = ParityMemberFlags();
   }
 }
 
@@ -210,7 +212,7 @@ void LhBucketServer::HandleKeyOp(Message& msg, Network& net) {
       AboutToMutateRecords(net);
       reply.found = columns_.Upsert(msg.key, msg.value);  // true: replaced
       UpdateRecordGauge(net);
-      EmitParity(net, std::move(parity_ops), false, msg.trace_id);
+      EmitParity(net, std::move(parity_ops), msg.trace_id);
       reply.type = MsgType::kInsertAck;
       net.Send(std::move(reply));
       MaybeReportOverflow(net, msg.trace_id);
@@ -238,7 +240,7 @@ void LhBucketServer::HandleKeyOp(Message& msg, Network& net) {
       reply.type = MsgType::kDeleteAck;
       reply.found = columns_.Erase(msg.key);
       UpdateRecordGauge(net);
-      EmitParity(net, std::move(parity_ops), false, msg.trace_id);
+      EmitParity(net, std::move(parity_ops), msg.trace_id);
       net.Send(std::move(reply));
       MaybeReportUnderflow(net, msg.trace_id);
       MaybeCheckpoint();
@@ -349,18 +351,19 @@ void LhBucketServer::StartTransfer(const Message& order, Network& net) {
   }
   transfer_pending_ = true;
   UpdateRecordGauge(net);
+  // One parity update for the whole carve-out (the values now live in the
+  // transfer message). It also carries the stepped-up level or the retired
+  // flag, so a proxy serving this bucket's shadow routes like this bucket.
+  std::vector<ParityOp> parity_ops;
   if (ParityEnabled()) {
-    // One parity update for the whole carve-out (the values now live in
-    // the transfer message).
-    std::vector<ParityOp> parity_ops;
     parity_ops.reserve(transfer.records.size());
     for (const WireRecord& r : transfer.records) {
       ParityOp op = MakeEraseOp(r.key);
       op.delta = RankBuffer(r.key, r.value);
       parity_ops.push_back(std::move(op));
     }
-    EmitParity(net, std::move(parity_ops), false, order.trace_id);
   }
+  EmitParity(net, std::move(parity_ops), order.trace_id);
   // Last: a synchronous network runs the receiver, and with it the ack,
   // before Send returns.
   net.Send(std::move(transfer));
@@ -391,7 +394,7 @@ void LhBucketServer::HandleTransfer(const Message& msg, Network& net) {
   level_ = msg.new_level;
   columns_.Adopt(msg.records);
   UpdateRecordGauge(net);
-  EmitParity(net, std::move(parity_ops), false, msg.trace_id);
+  EmitParity(net, std::move(parity_ops), msg.trace_id);
   MaybeCheckpoint();
   SendTransferAck(msg.bucket_to_split, msg.trace_id, net);
 }
@@ -402,7 +405,7 @@ void LhBucketServer::HandleTransferAck(const Message& msg, Network& net) {
     // discard what this bucket acks. The parity sites mirror the loading
     // flag for reconstruction.
     loading_ = false;
-    EmitParity(net, {}, /*clears_loading=*/true, msg.trace_id);
+    EmitParity(net, {}, msg.trace_id);
     // Replay whatever raced the transfer, in arrival order. Replays may
     // send (replies, forwards, even a parked kMerge's transfer), which the
     // network schedules as usual.
@@ -415,8 +418,9 @@ void LhBucketServer::HandleTransferAck(const Message& msg, Network& net) {
   // it let them go. A crash before this append leaves the records in both
   // logs, and recovery keeps the parent's copy. A bucket rebuilt from
   // parity mid-transfer owes nothing: its log was rewritten as a
-  // checkpoint of the rebuilt store. The ack names the receiver, so the
-  // kind needs no state: a split target lies above its parent.
+  // checkpoint of the rebuilt store, marked retired for a merge victim.
+  // The ack names the receiver, so the kind needs no state: a split
+  // target lies above its parent.
   const uint64_t target = msg.bucket_to_split;
   const bool split = target > bucket_number_;
   // Taken, not cleared: a kept capacity per split bucket adds up.
@@ -431,8 +435,6 @@ void LhBucketServer::HandleTransferAck(const Message& msg, Network& net) {
   if (split) {
     MaybeCheckpoint();
     SendTransferAck(target, msg.trace_id, net);  // the release
-  } else {
-    retired_ = true;  // already, unless rebuilt from parity mid-merge
   }
   Message done;
   done.type = split ? MsgType::kSplitDone : MsgType::kMergeDone;
@@ -504,15 +506,19 @@ LhBucketServer::ParityOp LhBucketServer::MakeEraseOp(uint64_t key) {
 }
 
 void LhBucketServer::EmitParity(Network& net, std::vector<ParityOp> ops,
-                                bool clears_loading, uint64_t trace_id) {
+                                uint64_t trace_id) {
   if (!ParityEnabled()) return;
-  // A level step must reach the parity sites even without record deltas —
-  // their member mirror drives degraded-mode address verification.
-  if (ops.empty() && !clears_loading && level_ == parity_level_emitted_) {
+  // A level step or a loading/retired transition must reach the parity
+  // sites even without record deltas — their member mirror drives
+  // degraded-mode address verification and parking.
+  const uint64_t flags = ParityMemberFlags();
+  if (ops.empty() && level_ == parity_level_emitted_ &&
+      flags == parity_flags_emitted_) {
     return;
   }
   ++parity_seq_;
   parity_level_emitted_ = level_;
+  parity_flags_emitted_ = flags;
   std::vector<WireRecord> entries;
   entries.reserve(ops.size());
   for (ParityOp& op : ops) {
@@ -531,7 +537,7 @@ void LhBucketServer::EmitParity(Network& net, std::vector<ParityOp> ops,
         bucket_number_ / runtime_->options().parity_group_size;
     update.request_id = parity_seq_;
     update.new_level = level_;
-    update.filter_id = clears_loading ? 1 : 0;
+    update.filter_id = flags;
     update.records = entries;  // same unscaled deltas to every parity row
     update.trace_id = trace_id;
     net.Send(std::move(update));
@@ -622,6 +628,8 @@ void LhBucketServer::RestoreRebuilt(RebuiltBucket state) {
   parity_level_emitted_ = state.level;
   parity_seq_ = state.parity_seq;
   loading_ = state.loading;
+  retired_ = state.retired;
+  parity_flags_emitted_ = ParityMemberFlags();
 }
 
 void LhBucketServer::AboutToMutateRecords(Network& net) {

@@ -93,7 +93,8 @@ class LhBucketServer : public Site {
   /// with their rank assignments (the group's parity rows keep addressing
   /// the same slots), the parity update sequence to continue from, and the
   /// loading flag (a split target that died loading resumes waiting — the
-  /// transfer or the release redelivers).
+  /// transfer or the release redelivers), and the retired flag (a merge
+  /// victim that died awaiting its ack resumes forwarding to the parent).
   void RestoreRebuilt(RebuiltBucket state);
 
   /// Parity updates this bucket has emitted (its per-member sequence).
@@ -179,12 +180,18 @@ class LhBucketServer : public Site {
   /// old value is still in the store.
   ParityOp MakeEraseOp(uint64_t key);
 
+  /// The member state every kParityUpdate carries in filter_id: bit 0
+  /// loading, bit 1 retired. A proxy serving this bucket's shadow parks or
+  /// forwards exactly where this bucket would.
+  uint64_t ParityMemberFlags() const {
+    return (loading_ ? 1 : 0) | (retired_ ? 2 : 0);
+  }
+
   /// Ships one kParityUpdate (sequence-numbered) carrying `ops` to every
-  /// parity site of this bucket's group; no-op when parity is off or the
-  /// op list is empty — except that a loading-clearing update is sent even
-  /// empty (the parity members must observe the loading transition).
-  void EmitParity(Network& net, std::vector<ParityOp> ops, bool clears_loading,
-                  uint64_t trace_id);
+  /// parity site of this bucket's group; no-op when parity is off, or when
+  /// the op list is empty and neither the level nor the member flags moved
+  /// since the last update (the parity sites mirror both).
+  void EmitParity(Network& net, std::vector<ParityOp> ops, uint64_t trace_id);
 
   void HandlePing(const Message& msg, Network& net);
   void HandleReconstructRequest(const Message& msg, Network& net);
@@ -227,9 +234,10 @@ class LhBucketServer : public Site {
   /// sites apply updates strictly in this order; the hosting system
   /// preserves it across bucket-number reuse and reconstruction.
   uint64_t parity_seq_ = 0;
-  /// Level as of the last emitted update (a level step without record
-  /// deltas must still be announced — see EmitParity).
+  /// Level and member flags as of the last emitted update (a step without
+  /// record deltas must still be announced — see EmitParity).
   uint32_t parity_level_emitted_;
+  uint64_t parity_flags_emitted_;
   /// Set by a reconstruction gather (kReconstructRequest mode 0): every
   /// mutating message parks in frozen_parked_ until the release (mode 2);
   /// lookups, scans, and liveness probes still answer.

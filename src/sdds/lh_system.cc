@@ -156,8 +156,8 @@ void LhSystem::RetireLastBucket() {
   servers_.back()->Retire();
   // The retired server must not touch the log again: the bucket number may
   // be reused by a later split, which replaces the log object (the retired
-  // server's pointer would dangle). Its kClear dissolution record is
-  // already on disk by this point.
+  // server's pointer would dangle). Its dissolution — a kClear, or the
+  // retired checkpoint of a rebuild mid-merge — is already on disk.
   servers_.back()->AttachLog(nullptr);
   retired_servers_.push_back(std::move(servers_.back()));
   servers_.pop_back();
@@ -251,7 +251,9 @@ void LhSystem::RebuildBucket(uint64_t bucket, RebuiltBucket state) {
   if (replacement->log() != nullptr) {
     // One snapshot frame makes the reconstruction durable: a crash after
     // the rebuild replays the decoded content, not the dead site's file.
-    replacement->log()->Checkpoint(level, /*retired=*/false,
+    // A merge victim rebuilt before its ack is retired in it: its records
+    // went to the parent, and the ack owes no clear.
+    replacement->log()->Checkpoint(level, replacement->retired(),
                                    replacement->columns());
   }
   site_history_[bucket].push_back(site);

@@ -170,6 +170,7 @@ void ParityServer::InitMember(uint64_t bucket, uint32_t level, bool loading,
   ms.dead = false;
   ms.level = level;
   ms.loading = loading;
+  ms.retired = false;
   if (gather_active_ && !decode_valid_) {
     // A member born mid-gather (split racing the recovery) must freeze like
     // the rest or the gather would wait on its slice forever.
@@ -193,6 +194,7 @@ void ParityServer::InstallSeed(std::map<uint64_t, Bytes> parity,
     ms.inited = true;
     ms.dead = false;
     ms.loading = false;
+    ms.retired = false;
     ms.level = seed.level;
     ms.applied = seed.applied;
     ms.key_rank = std::move(seed.key_rank);
@@ -444,7 +446,8 @@ void ParityServer::ApplyUpdate(int member, Message& msg) {
     }
   }
   ms.level = msg.new_level;
-  if (msg.filter_id & 1) ms.loading = false;
+  ms.loading = (msg.filter_id & 1) != 0;
+  ms.retired = (msg.filter_id & 2) != 0;
   ms.applied = msg.request_id;
 }
 
@@ -606,6 +609,7 @@ void ParityServer::DecodeDead(Network& net) {
     sh.key_rank = ms.key_rank;
     sh.level = ms.level;
     sh.loading = ms.loading;
+    sh.retired = ms.retired;
     sh.seq = ms.applied;
   }
 
@@ -702,6 +706,7 @@ void ParityServer::InstallRebuild(int member, Network& net) {
   RebuiltBucket state;
   state.level = sh->second.level;
   state.loading = sh->second.loading;
+  state.retired = sh->second.retired;
   state.parity_seq = sh->second.seq;
   for (const auto& [key, rank] : sh->second.key_rank) {
     const std::optional<ByteSpan> value = sh->second.records.Lookup(key);
@@ -853,11 +858,14 @@ void ParityServer::ServeDegradedLookup(Message& msg, Network& net,
   const Shadow& sh = shadow_.at(member);
   const uint64_t bucket = BucketOfMember(member);
   // Address verification exactly as the dead server would have run it,
-  // under its reconstructed level.
+  // under its reconstructed level — or, for a merge victim that died
+  // awaiting its ack, straight to the parent that absorbed its records.
   const uint64_t image = LhKeyImage(msg.key, options_);
   const uint64_t a_prime = image & ((uint64_t{1} << sh.level) - 1);
   uint64_t route = bucket;
-  if (a_prime != bucket) {
+  if (sh.retired) {
+    route = ParentBucket(bucket);
+  } else if (a_prime != bucket) {
     route = a_prime;
     if (sh.level >= 1) {
       const uint64_t a_second =
@@ -906,6 +914,16 @@ void ParityServer::ServeDegradedLookup(Message& msg, Network& net,
 void ParityServer::ServeDegradedScan(Message& msg, Network& net, int member) {
   const Shadow& sh = shadow_.at(member);
   const uint64_t bucket = BucketOfMember(member);
+  if (sh.retired) {
+    // As the dead merge victim would: its parent owns the records now.
+    Message fwd = msg;
+    fwd.from = site_;
+    fwd.to = runtime_->SiteOfBucket(ParentBucket(bucket));
+    fwd.key = ParentBucket(bucket);
+    fwd.hops = msg.hops + 1;
+    net.Send(std::move(fwd));
+    return;
+  }
   // Propagate to split descendants the sender's image missed, exactly as
   // the dead server would have (its reconstructed level says which).
   for (uint32_t l = msg.assumed_level; l < sh.level; ++l) {

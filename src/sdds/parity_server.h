@@ -146,6 +146,7 @@ class ParityServer final : public Site {
     bool inited = false;  // ever created in this group
     bool dead = false;    // currently being recovered
     bool loading = false;
+    bool retired = false;  // merge victim awaiting its ack
     uint32_t level = 0;
     uint64_t applied = 0;  // updates applied == member's emitted seq
     std::map<uint64_t, Message> ooo;        // seq -> pending update
@@ -159,6 +160,7 @@ class ParityServer final : public Site {
     std::map<uint64_t, uint64_t> key_rank;
     uint32_t level = 0;
     bool loading = false;
+    bool retired = false;
     uint64_t seq = 0;
   };
 

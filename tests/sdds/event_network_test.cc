@@ -213,19 +213,11 @@ LhOptions EventOptions(uint64_t seed) {
   return o;
 }
 
-/// Built by append: GCC 12 false-positives -Wrestrict on the
-/// temporary-chaining form under -O2, and CI compiles with -Werror.
-Bytes Val(uint64_t k) {
-  std::string s = "v";
-  s += std::to_string(k);
-  return ToBytes(s);
-}
-
 TEST(EventNetworkSystemTest, InsertLookupDeleteAcrossSplits) {
   LhSystem sys(EventOptions(2024));
   LhClient* c = sys.NewClient();
   for (uint64_t k = 0; k < 200; ++k) {
-    EXPECT_FALSE(c->Insert(k, Val(k)));
+    EXPECT_FALSE(c->Insert(k, ToBytes("v" + std::to_string(k))));
   }
   sys.network().PumpUntilIdle();  // let restructuring settle
   EXPECT_GT(sys.bucket_count(), 1u) << "capacity 8 must have split";
@@ -233,7 +225,7 @@ TEST(EventNetworkSystemTest, InsertLookupDeleteAcrossSplits) {
   for (uint64_t k = 0; k < 200; ++k) {
     auto r = c->Lookup(k);
     ASSERT_TRUE(r.ok()) << "key " << k;
-    EXPECT_EQ(*r, Val(k));
+    EXPECT_EQ(*r, ToBytes("v" + std::to_string(k)));
   }
   EXPECT_TRUE(c->Delete(77).ok());
   EXPECT_TRUE(c->Lookup(77).status().IsNotFound());

@@ -10,13 +10,7 @@
 namespace essdds::sdds {
 namespace {
 
-/// Built by append: GCC 12 false-positives -Wrestrict on the
-/// temporary-chaining form under -O2, and CI compiles with -Werror.
-Bytes Val(uint64_t k) {
-  std::string s = "v";
-  s += std::to_string(k);
-  return ToBytes(s);
-}
+Bytes Val(uint64_t k) { return ToBytes("v" + std::to_string(k)); }
 
 LhOptions ShrinkingOptions() {
   return LhOptions{.bucket_capacity = 8, .merge_threshold = 0.25};

@@ -16,13 +16,7 @@ namespace {
 
 using obs::HopKind;
 
-/// Built by append: GCC 12 false-positives -Wrestrict on the
-/// temporary-chaining form under -O2, and CI compiles with -Werror.
-Bytes ValueFor(uint64_t key) {
-  std::string s = "v";
-  s += std::to_string(key);
-  return ToBytes(s);
-}
+Bytes ValueFor(uint64_t key) { return ToBytes("v" + std::to_string(key)); }
 
 LhOptions EventOptions(uint64_t seed, double drop_prob) {
   LhOptions o;

@@ -8,6 +8,7 @@
 // seed, because all scheduling is virtual-time and seeded.
 
 #include <algorithm>
+#include <bit>
 #include <filesystem>
 #include <map>
 #include <set>
@@ -466,6 +467,147 @@ TEST(RecoveryTest, KillSplitSourceBetweenTransferAndAck) {
       << "the coordinator never saw kSplitDone";
   EXPECT_EQ(Contents(sys), model);
   ExpectParityInSync(sys, "after source kill between transfer and ack");
+}
+
+TEST(RecoveryTest, KillMergeVictimBetweenTransferAndAck) {
+  // A merge victim dies after its parent adopted the records and before
+  // the ack lands, so it is still in the file. Its parity mirror says
+  // retired: the proxy forwards its reads to the parent instead of
+  // answering from the empty shadow, the rebuilt victim forwards too, and
+  // the parked ack lets it report kMergeDone. Its rebuild checkpoint is
+  // retired, so restarts need no repair — also after further merges have
+  // retired the parent.
+  LhOptions o = RecoveryOptions(/*seed=*/26);
+  o.merge_threshold = 0.4;
+  o.recovery_hold_us = 10'000'000;  // wide-open degraded window
+  const std::string dir =
+      (std::filesystem::path(::testing::TempDir()) / "essdds_merge_victim_kill")
+          .string();
+  std::filesystem::remove_all(dir);
+  if (persist::kPersistEnabled) o.data_dir = dir;
+  std::map<uint64_t, Bytes> model;
+  uint64_t victim = 0;
+  {
+    LhSystem sys(o);
+    LhClient* c = sys.NewClient();
+    const uint64_t match_all =
+        sys.InstallFilter([](uint64_t, ByteSpan, ByteSpan) { return true; });
+    CollectorSite collector;
+    const SiteId collector_site = sys.network().Register(&collector);
+    for (uint64_t key = 1; key <= 48; ++key) {
+      model[key] = TaggedValue("v", key);
+      c->Insert(key, model[key]);
+    }
+    sys.network().PumpUntilIdle();
+    ASSERT_GE(sys.bucket_count(), 5u);
+
+    // Delete, pumping event by event, until the last bucket has shipped
+    // its records and its parent has adopted them (stepped down a level).
+    uint64_t parent = 0;
+    bool caught = false;
+    for (uint64_t key = 1; key <= 48 && !caught; ++key) {
+      model.erase(key);
+      ASSERT_TRUE(c->Delete(key).ok());
+      for (int p = 0; p < 200 && !caught; ++p) {
+        victim = sys.bucket_count() - 1;
+        parent = victim - std::bit_floor(victim);
+        caught = sys.bucket(victim).transfer_pending() &&
+                 sys.bucket(parent).level() < sys.bucket(victim).level();
+        if (!caught && !sys.network().Pump()) break;
+      }
+    }
+    ASSERT_TRUE(caught) << "no merge caught awaiting its ack; timing drifted";
+    ASSERT_TRUE(sys.bucket(victim).retired());
+    ASSERT_EQ(Contents(sys), model);
+    const uint32_t victim_level = sys.bucket(victim).level();
+    std::map<uint64_t, Bytes> moved;  // records addressed to the victim
+    for (const auto& [key, value] : sys.bucket(parent).records()) {
+      const uint64_t mask = (uint64_t{1} << victim_level) - 1;
+      if ((LhKeyImage(key, o) & mask) == victim) moved.emplace(key, value);
+    }
+    ASSERT_FALSE(moved.empty()) << "the merge moved nothing";
+    std::vector<uint32_t> levels;
+    for (uint64_t b = 0; b < sys.bucket_count(); ++b) {
+      levels.push_back(sys.bucket(b).level());
+    }
+    KillBucket(sys, victim);
+
+    // A client image that still counts the victim reports it dead; the
+    // coordinator probes and declares, and the proxy decodes its shadow.
+    Message report;
+    report.type = MsgType::kDeadSite;
+    report.from = collector_site;
+    report.to = sys.CoordinatorSite();
+    report.key = moved.begin()->first;
+    sys.network().Send(std::move(report));
+    const uint64_t horizon = sys.network().now_us() + 200'000;
+    PumpBefore(sys, horizon);
+    ASSERT_TRUE(sys.bucket_dead(victim));
+
+    // During the hold every read addressed to the victim reaches the
+    // parent through the proxy.
+    collector.replies.clear();
+    uint64_t request_id = 2'000'000;
+    for (const auto& [key, value] : moved) {
+      (void)value;
+      Message req;
+      req.type = MsgType::kLookup;
+      req.from = collector_site;
+      req.reply_to = collector_site;
+      req.request_id = request_id++;
+      req.key = key;
+      req.bucket_to_split = victim;
+      req.to = sys.SiteOfBucket(victim);
+      sys.network().Send(std::move(req));
+    }
+    PumpBefore(sys, horizon);
+    ASSERT_TRUE(sys.bucket_dead(victim))
+        << "rebuild should still be held back while degraded reads serve";
+    ASSERT_EQ(collector.replies.size(), moved.size());
+    for (const Message& reply : collector.replies) {
+      ASSERT_EQ(reply.type, MsgType::kLookupReply);
+      EXPECT_TRUE(reply.found) << "key " << reply.key << " read as lost";
+      EXPECT_EQ(reply.value, moved.at(reply.key));
+    }
+    const auto hits = ManualScan(sys, collector, collector_site, match_all,
+                                 levels, horizon);
+    ASSERT_TRUE(sys.bucket_dead(victim)) << "scan outlasted the hold";
+    const std::map<uint64_t, Bytes> scanned(hits.begin(), hits.end());
+    EXPECT_EQ(scanned, model)
+        << "degraded scan must reach the victim's records at the parent";
+
+    // The hold elapses: the victim is rebuilt retired, the parked ack
+    // finishes the merge, and the coordinator retires it.
+    sys.network().PumpUntilIdle();
+    EXPECT_EQ(sys.bucket_count(), victim) << "the merge never finished";
+    EXPECT_EQ(sys.coordinator().Image().BucketCount(), victim);
+    EXPECT_EQ(Contents(sys), model);
+    ExpectParityInSync(sys, "after merge victim kill between transfer and ack");
+    for (const auto& [key, value] : model) {
+      auto r = c->Lookup(key);
+      ASSERT_TRUE(r.ok()) << "key " << key << " lost after the rebuild";
+      EXPECT_EQ(*r, value);
+    }
+    if (!persist::kPersistEnabled) return;
+
+    // Shrink further, until the victim's parent is merged away as well.
+    for (auto it = model.begin();
+         it != model.end() && sys.bucket_count() > parent;) {
+      ASSERT_TRUE(c->Delete(it->first).ok());
+      it = model.erase(it);
+      sys.network().PumpUntilIdle();
+    }
+    ASSERT_LE(sys.bucket_count(), parent) << "the parent was never merged";
+    ASSERT_EQ(Contents(sys), model);
+  }
+  // Restart over the same directory: the rebuilt victim's log says
+  // retired, so nothing is repaired and no live bucket follows a gap.
+  LhSystem sys(o);
+  EXPECT_EQ(Contents(sys), model);
+  EXPECT_EQ(
+      sys.network().metrics().counter("persist.repaired_transfers").value(),
+      0u);
+  std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------
