@@ -1,27 +1,18 @@
 // Scan-engine benchmark: (1) the site-side matcher — seed-style naive
 // matching (per-record failure-table construction via FindOccurrences)
 // against the BatchMatcher over a columnar arena (query compiled once);
-// (2) the scan executor itself — the old spawn-threads-per-batch scheme
-// against the persistent ScanWorkerPool, with and without intra-bucket
-// sharding; (3) end-to-end encrypted search on the phonebook workload,
-// serial vs pooled vs pooled+sharded index scans. Emits one JSON object so
-// CI can track the numbers.
+// (2) end-to-end encrypted search on the phonebook workload, serial vs
+// pooled vs pooled+sharded index scans. Emits one JSON object so CI can
+// track the numbers.
 //
 // Scale with ESSDDS_RECORDS=<n> (default 20,000 — the matcher contrast is
-// size-independent, the executor and end-to-end parts are wall-clock
-// bound).
+// size-independent, the end-to-end part is wall-clock bound).
 
 #include <chrono>
 #include <cstdio>
-#include <limits>
-#include <map>
 #include <string>
-#include <vector>
-
-#if ESSDDS_THREADS
-#include <atomic>
 #include <thread>
-#endif
+#include <vector>
 
 #include "bench/bench_util.h"
 #include "core/batch_matcher.h"
@@ -29,10 +20,7 @@
 #include "core/matcher.h"
 #include "core/pipeline.h"
 #include "obs/metrics.h"
-#include "sdds/column_store.h"
-#include "sdds/scan_executor.h"
 #include "util/json_writer.h"
-#include "util/random.h"
 
 namespace essdds::bench {
 namespace {
@@ -145,125 +133,13 @@ MatcherNumbers RunMatcherContrast(size_t corpus_size) {
   return out;
 }
 
-// --- scan executor: spawn-per-batch vs persistent pool vs sharding ---
-
-struct ExecutorNumbers {
-  size_t buckets = 0;
-  size_t records_per_bucket = 0;
-  size_t batches = 0;
-  double spawn_batches_per_sec = 0;
-  double pool_batches_per_sec = 0;
-  double sharded_batches_per_sec = 0;
-  size_t hits = 0;  // per batch, identical across executors (checked)
-};
-
-#if ESSDDS_THREADS
-
-/// Synthetic scan batch over `buckets`; fresh tasks each call (a real drain
-/// rebuilds its batch too), the record stores are shared and read-only.
-std::vector<sdds::ScanTask> MakeExecutorBatch(
-    const std::vector<sdds::ColumnStore>& buckets,
-    const sdds::ScanFilter& filter) {
-  std::vector<sdds::ScanTask> tasks;
-  tasks.reserve(buckets.size());
-  for (size_t b = 0; b < buckets.size(); ++b) {
-    sdds::ScanTask task;
-    task.bucket = b;
-    task.columns = buckets[b].slice();
-    task.filter = &filter;
-    tasks.push_back(std::move(task));
-  }
-  return tasks;
-}
-
-/// The pre-pool executor, reproduced for the contrast: spawn `threads`
-/// threads for every batch, pull tasks off a shared atomic index, join.
-void SpawnPerBatch(std::vector<sdds::ScanTask>& tasks, size_t threads) {
-  std::atomic<size_t> next{0};
-  std::vector<std::thread> workers;
-  workers.reserve(threads);
-  for (size_t w = 0; w < threads; ++w) {
-    workers.emplace_back([&] {
-      for (size_t i = next.fetch_add(1); i < tasks.size();
-           i = next.fetch_add(1)) {
-        sdds::ExecuteScanTask(tasks[i]);
-      }
-    });
-  }
-  for (std::thread& worker : workers) worker.join();
-}
-
-ExecutorNumbers RunExecutorContrast(size_t threads) {
-  ExecutorNumbers out;
-  out.buckets = 8;
-  out.records_per_bucket = 4096;
-  out.batches = 300;
-
-  Rng rng(20060401);
-  std::vector<sdds::ColumnStore> buckets(out.buckets);
-  for (auto& bucket : buckets) {
-    std::map<uint64_t, Bytes> records;
-    while (records.size() < out.records_per_bucket) {
-      const uint64_t k = rng.Next();
-      records[k] = ToBytes("record-" + std::to_string(k));
-    }
-    bucket.Adopt(records);
-  }
-  // Representative per-record work: touch every value byte (a checksum
-  // standing in for substring evaluation), hit on the low bits.
-  auto filter = sdds::MakeScanFilter([](uint64_t, ByteSpan value, ByteSpan) {
-    uint32_t sum = 0;
-    for (uint8_t byte : value) sum = sum * 31 + byte;
-    return (sum & 7) == 0;
-  });
-
-  auto count_hits = [](const std::vector<sdds::ScanTask>& tasks) {
-    size_t hits = 0;
-    for (const sdds::ScanTask& t : tasks) hits += t.reply.records.size();
-    return hits;
-  };
-
-  auto time_executor = [&](auto&& run_batch) {
-    // One warm-up batch (first pool batch starts the workers), then timed.
-    auto warm = MakeExecutorBatch(buckets, *filter);
-    run_batch(warm);
-    const size_t hits = count_hits(warm);
-    ESSDDS_CHECK(out.hits == 0 || hits == out.hits)
-        << "executor disagreement: " << hits << " vs " << out.hits;
-    out.hits = hits;
-    auto t0 = Clock::now();
-    for (size_t i = 0; i < out.batches; ++i) {
-      auto batch = MakeExecutorBatch(buckets, *filter);
-      run_batch(batch);
-    }
-    return static_cast<double>(out.batches) / SecondsSince(t0);
-  };
-
-  out.spawn_batches_per_sec = time_executor(
-      [&](std::vector<sdds::ScanTask>& b) { SpawnPerBatch(b, threads); });
-  sdds::ScanWorkerPool pool(threads);
-  out.pool_batches_per_sec = time_executor([&](std::vector<sdds::ScanTask>& b) {
-    pool.Run(b, std::numeric_limits<size_t>::max());
-  });
-  out.sharded_batches_per_sec = time_executor(
-      [&](std::vector<sdds::ScanTask>& b) { pool.Run(b, 256); });
-  return out;
-}
-
-#else  // !ESSDDS_THREADS
-
-ExecutorNumbers RunExecutorContrast(size_t) { return {}; }
-
-#endif  // ESSDDS_THREADS
-
 struct ScanNumbers {
   double ms_per_search = 0;
   double index_records_per_sec = 0;
   size_t hits = 0;
   // Batch-shape histograms from the index network's metric registry
   // (zero-count with -DESSDDS_METRICS=OFF): tasks per drained batch and
-  // shards those tasks split into. Serial scans never batch, so both stay
-  // empty in the serial leg.
+  // shards those tasks split into.
   obs::Histogram::Summary batch_tasks;
   obs::Histogram::Summary batch_shards;
 };
@@ -337,7 +213,6 @@ int Main() {
   const size_t shard_min = 32;
 
   const MatcherNumbers m = RunMatcherContrast(corpus_size);
-  const ExecutorNumbers ex = RunExecutorContrast(threads > 0 ? threads : 2);
   const ScanNumbers serial = RunStoreSearches(corpus_size, 0);
   const ScanNumbers parallel = RunStoreSearches(corpus_size, threads);
   const ScanNumbers sharded =
@@ -356,26 +231,6 @@ int Main() {
   w.KV("columnar_records_per_sec", m.columnar_records_per_sec, 0);
   w.KV("columnar_speedup_vs_naive",
        m.columnar_records_per_sec / m.naive_records_per_sec, 2);
-  w.EndObject();
-  w.Key("executor").BeginObject();
-  w.KV("threads", static_cast<uint64_t>(threads));
-  w.KV("buckets", static_cast<uint64_t>(ex.buckets));
-  w.KV("records_per_bucket", static_cast<uint64_t>(ex.records_per_bucket));
-  w.KV("batches", static_cast<uint64_t>(ex.batches));
-  w.KV("hits_per_batch", static_cast<uint64_t>(ex.hits));
-  w.KV("spawn_per_batch_batches_per_sec", ex.spawn_batches_per_sec, 1);
-  w.KV("pool_batches_per_sec", ex.pool_batches_per_sec, 1);
-  w.KV("pool_sharded_batches_per_sec", ex.sharded_batches_per_sec, 1);
-  w.KV("pool_speedup_vs_spawn",
-       ex.spawn_batches_per_sec > 0
-           ? ex.pool_batches_per_sec / ex.spawn_batches_per_sec
-           : 0.0,
-       2);
-  w.KV("sharded_speedup_vs_spawn",
-       ex.spawn_batches_per_sec > 0
-           ? ex.sharded_batches_per_sec / ex.spawn_batches_per_sec
-           : 0.0,
-       2);
   w.EndObject();
   w.Key("search").BeginObject();
   w.KV("scan_threads", static_cast<uint64_t>(threads));

@@ -352,7 +352,7 @@ AssembledTrace StitchTrace(
     for (size_t i = 0; i < sources[s].second.size(); ++i) {
       const obs::TraceEvent& ev = sources[s].second[i];
       if (trace_id != 0 && ev.trace_id != trace_id) continue;
-      nodes.push_back(Node{sources[s].first, s, i, ev});
+      nodes.push_back(Node{sources[s].first, s, i, ev, 0, false, {}});
       // Rule 1: program order within one ring.
       if (prev != SIZE_MAX) {
         nodes[prev].succ.push_back(nodes.size() - 1);

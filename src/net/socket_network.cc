@@ -375,9 +375,8 @@ bool SocketNetwork::RunOnce(int timeout_ms) {
   // may send further messages — the drain loops to empty).
   if (DrainInbox()) progress = true;
 
-  // Deferred (thread-pool) scan mode: evaluate this turn's batch and send
-  // the replies. No-op when nothing queued or scans run inline.
-  if (deferred_scan_mode()) {
+  // Evaluate this turn's scan batch and send the replies.
+  if (scans_pending()) {
     DrainDeferredScans();
     if (DrainInbox()) progress = true;
   }

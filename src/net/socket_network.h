@@ -27,7 +27,7 @@ namespace essdds::net {
 ///     connection the client registered with its kHello.
 ///   - RunOnce() is one loop turn: drain the local inbox, poll, accept,
 ///     read (bytes -> FrameDecoder -> Message::Decode -> dispatch), flush
-///     write queues, reap dead connections, drain deferred scans.
+///     write queues, reap dead connections, drain queued scans.
 ///   - Backpressure: each connection has a bounded write queue. Protocol
 ///     sends are never dropped mid-stream; instead the loop stops READING
 ///     from a connection whose write queue is over budget, so a slow or

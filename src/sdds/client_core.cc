@@ -274,8 +274,8 @@ ScanResult ClientCore::FinishScan(uint64_t now_us) {
   ScanResult result;
   result.buckets_answered = scan.replies.size();
   // Ascending bucket order, hits within a bucket already ascending: the
-  // serial mode's depth-first arrival order, the parallel mode's drain
-  // order and the socket tier's arrival order give identical results.
+  // simulators' drain order and the socket tier's arrival order give
+  // identical results.
   for (auto& [bucket, reply] : scan.replies) {
     for (WireRecord& r : reply.records) result.hits.push_back(std::move(r));
   }

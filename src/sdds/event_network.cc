@@ -57,7 +57,6 @@ EventNetwork::EventNetwork(EventNetworkOptions options)
   ESSDDS_CHECK(options_.protocol_duplicate_prob >= 0.0 &&
                options_.protocol_duplicate_prob <= 1.0)
       << "protocol duplicate probability must be in [0, 1]";
-  ESSDDS_CHECK(options_.ack_timeout_us > 0) << "ack timeout must be positive";
 }
 
 SiteId EventNetwork::Register(Site* site) {
@@ -207,7 +206,7 @@ void EventNetwork::TransmitFrame(SiteId from, SiteId to, uint64_t seq) {
 
 void EventNetwork::ScheduleRtxCheck(SiteId from, SiteId to, uint64_t seq) {
   Event ev;
-  ev.time_us = now_us_ + options_.ack_timeout_us;
+  ev.time_us = now_us_ + kAckTimeoutUs;
   ev.kind = EvKind::kRtxCheck;
   ev.a = from;
   ev.b = to;
@@ -230,9 +229,9 @@ void EventNetwork::HandleRtxCheck(const Event& ev) {
     return;
   }
   ++pending.retransmits;
-  ESSDDS_CHECK(pending.retransmits <= options_.max_frame_retransmits)
+  ESSDDS_CHECK(pending.retransmits <= kMaxFrameRetransmits)
       << "frame to live site " << ev.b << " exceeded "
-      << options_.max_frame_retransmits << " retransmits";
+      << kMaxFrameRetransmits << " retransmits";
   ++stats_.retransmitted_frames;
   TraceHop(obs::HopKind::kRetry, pending.msg);
   TransmitFrame(ev.a, ev.b, ev.frame_seq);
@@ -350,13 +349,12 @@ bool EventNetwork::Pump() {
     parked_[dest].push_back(std::move(ev));
     return true;
   }
-  // Deferred scan mode: a delivery may enqueue a ScanTask instead of
-  // answering inline. A kScan parked at a paused bucket can replay here
-  // long after its initiator drained the batch — the task then waits in
-  // the pending queue until the next drain, and the bucket resolves it
-  // against pre-mutation content before any record-map change, so the
-  // (eventually stale) reply still carries the hits the serial mode would
-  // have produced at this delivery.
+  // A kScan delivery enqueues a ScanTask; its reply goes out at the next
+  // drain. A kScan parked at a paused bucket can replay here long after
+  // its initiator drained the batch — the task then waits in the pending
+  // queue until the next drain, and the bucket resolves it against
+  // pre-mutation content before any record change, so the (eventually
+  // stale) reply still carries the hits the bucket held at this delivery.
   DeliverNow(ev.msg, dest);
   return true;
 }

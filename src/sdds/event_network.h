@@ -48,7 +48,7 @@ bool ProtocolReliable(MsgType type);
 ///    fault-eligible messages (see FaultEligible).
 ///  - protocol_faults + protocol_drop_prob / protocol_duplicate_prob:
 ///    protocol-internal frames (ProtocolReliable) ride a reliable link
-///    layer — per-link sequence numbers, receiver acks, ack_timeout_us
+///    layer — per-link sequence numbers, receiver acks, kAckTimeoutUs
 ///    retransmission — that delivers each frame exactly once and in link
 ///    order to a live destination no matter how the Bernoulli rolls land.
 ///  - ScriptDrop(type, n): deterministically discard the n-th future send
@@ -67,6 +67,17 @@ bool ProtocolReliable(MsgType type);
 ///    all delivered to the successor.
 class EventNetwork final : public Network {
  public:
+  /// Reliable-layer retransmission timer: an unacked frame is resent every
+  /// kAckTimeoutUs of virtual time. Must comfortably exceed 2x the max
+  /// latency or every frame is spuriously resent once.
+  static constexpr uint64_t kAckTimeoutUs = 8000;
+
+  /// Retransmissions per frame before the network aborts the run (a frame
+  /// to a LIVE site failing this many independent Bernoulli drops means the
+  /// configuration is broken, not unlucky; frames to killed sites park
+  /// instead of retrying). p=0.2^64 is never.
+  static constexpr uint32_t kMaxFrameRetransmits = 64;
+
   explicit EventNetwork(EventNetworkOptions options = {});
 
   SiteId Register(Site* site) override;

@@ -78,7 +78,7 @@ Status LhClient::Delete(uint64_t key) {
 LhClient::ScanResult LhClient::Scan(uint64_t filter_id, Bytes filter_arg) {
   // Termination here is quiescence, not the socket tier's level rule: that
   // rule assumes every child of an answering bucket exists, but merges
-  // dissolve children, and the pool scan mode defers replies to
+  // dissolve children, and buckets defer their replies to
   // DrainDeferredScans. First complete any in-flight splits/merges so the
   // fan-out sees a stable extent (event networks; no-op synchronously) —
   // otherwise a split racing the scan can move records from an
@@ -89,10 +89,9 @@ LhClient::ScanResult LhClient::Scan(uint64_t filter_id, Bytes filter_arg) {
   }
   // Deliver the fan-out (and any forwards to buckets the image missed);
   // scan traffic is never dropped, so idleness means every bucket has
-  // either answered or deferred its evaluation.
+  // queued its evaluation.
   net_->PumpUntilIdle();
-  // In thread-pool scan mode the buckets deferred their evaluations; run
-  // the batch now (no-op in serial mode, where replies already arrived).
+  // Evaluate the queued batch and send its replies.
   net_->DrainDeferredScans();
   // Event network: the drained replies were scheduled, not delivered.
   net_->PumpUntilIdle();

@@ -12,6 +12,13 @@ uint64_t LhKeyHash(uint64_t key) {
   return z ^ (z >> 31);
 }
 
+uint64_t ParentBucket(uint64_t bucket) {
+  ESSDDS_CHECK(bucket != 0) << "bucket 0 has no parent";
+  uint64_t top = uint64_t{1} << 63;
+  while ((bucket & top) == 0) top >>= 1;
+  return bucket & ~top;
+}
+
 namespace {
 
 class PredicateFilter : public ScanFilter {

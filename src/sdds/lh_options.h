@@ -68,17 +68,6 @@ struct EventNetworkOptions {
   double protocol_drop_prob = 0.0;
   double protocol_duplicate_prob = 0.0;
 
-  /// Reliable-layer retransmission timer: an unacked frame is resent every
-  /// ack_timeout_us of virtual time. Must comfortably exceed 2x the max
-  /// latency or every frame is spuriously resent once.
-  uint32_t ack_timeout_us = 8000;
-
-  /// Retransmissions per frame before the network aborts the run (a frame
-  /// to a LIVE site failing this many independent Bernoulli drops means the
-  /// configuration is broken, not unlucky; frames to killed sites park
-  /// instead of retrying). p=0.2^64 is never.
-  uint32_t max_frame_retransmits = 64;
-
   friend bool operator==(const EventNetworkOptions&,
                          const EventNetworkOptions&) = default;
 };
@@ -106,23 +95,22 @@ struct LhOptions {
   /// chain. Disable only for tests that reason about raw key placement.
   bool hash_keys = true;
 
-  /// Worker threads for parallel scan evaluation. With a value > 1, bucket
-  /// scans are deferred off the messaging path and evaluated concurrently
-  /// on the network's persistent ScanWorkerPool (started lazily on the
-  /// first parallel scan, reused for every batch), then replied in
-  /// ascending bucket order — results and message/byte accounting are
-  /// identical to the serial mode. 0 (the default) and 1 keep the
-  /// single-threaded deterministic delivery where each bucket evaluates
-  /// inline on message receipt.
+  /// Worker threads for scan evaluation. Every bucket queues its scan
+  /// evaluation off the messaging path; the batch runs on the network's
+  /// persistent ScanWorkerPool and is replied in ascending bucket order.
+  /// With a value > 1 the pool evaluates buckets concurrently (workers
+  /// start lazily on the first parallel batch and serve every later one);
+  /// 0 (the default) and 1 run the batch serially on the draining thread.
+  /// Results and message/byte accounting do not depend on the value.
   size_t scan_threads = 0;
 
-  /// Intra-bucket parallelism threshold: a deferred scan task whose bucket
+  /// Intra-bucket parallelism threshold: a scan task whose bucket
   /// holds more than this many records is split into up to scan_threads
   /// contiguous key-range shards evaluated concurrently, with shard hits
   /// spliced back in ascending key order — results stay byte-identical to
   /// the unsharded (and serial) evaluation. 0 shards every bucket with
-  /// more than one record; SIZE_MAX disables sharding. Only read when
-  /// scan_threads > 1.
+  /// more than one record; SIZE_MAX disables sharding. No effect when
+  /// scan_threads <= 1.
   size_t scan_shard_min_records = 1024;
 
   /// Which network simulation carries the file's messages (see
@@ -191,15 +179,9 @@ struct LhOptions {
   size_t parity_count = 1;
 
   /// Coordinator probe patience: a pinged bucket that stays silent for this
-  /// much virtual time is re-pinged; after ping_attempts unanswered pings
-  /// it is declared dead and reconstruction starts.
+  /// much virtual time is re-pinged; after LhCoordinator::kPingAttempts
+  /// unanswered pings it is declared dead and reconstruction starts.
   uint64_t ping_timeout_us = 200'000;
-
-  /// Pings sent (ping_timeout_us apart) before a silent bucket is declared
-  /// dead. More attempts make false declaration — which costs one erasure
-  /// of parity headroom for nothing — robust against latency tails and
-  /// protocol-fault retransmission delays.
-  uint32_t ping_attempts = 3;
 
   /// Virtual-time delay between declaring a site dead and asking the parity
   /// proxy to rebuild it. A positive hold widens the degraded-mode window
@@ -221,24 +203,30 @@ struct LhOptions {
 /// finalizer: bijective, well-distributed in the low bits LH* consumes).
 uint64_t LhKeyHash(uint64_t key);
 
+/// The bucket a dissolved (or never-created) bucket folds onto: clearing
+/// the top set bit is exactly the parent relation of linear hashing.
+uint64_t ParentBucket(uint64_t bucket);
+
 /// Address-relevant image of a key under the given options.
 inline uint64_t LhKeyImage(uint64_t key, const LhOptions& options) {
   return options.hash_keys ? LhKeyHash(key) : key;
 }
 
 /// Site-side scan predicate, deployed at every bucket (stands in for query
-/// code shipped to the sites). A scan delivers its opaque wire argument
-/// once per bucket via Prepare(), which compiles it into an immutable
-/// per-scan state; Matches() then runs per record against that state.
+/// code shipped to the sites). A scan's opaque wire argument is compiled by
+/// Prepare() into an immutable per-scan state; Matches() then runs per
+/// record against that state.
 ///
 /// Lifecycle: Prepare() is thread-safe and called with the scan message's
-/// argument bytes — once per (scan, bucket) in the serial inline mode, but
-/// only once per scan in deferred (thread-pool) mode, where the single
-/// returned Prepared instance is shared by every bucket of that scan and
-/// its Matches() runs concurrently from several workers. Matches() must
-/// therefore be const and thread-safe: no unsynchronized mutable members —
-/// per-thread scratch buffers belong in thread_local storage. A Prepared
-/// never outlives its scan.
+/// argument bytes once per scan on each network (each host, on the socket
+/// tier), when the network queues the scan's first bucket task. The single
+/// returned Prepared instance is shared by every bucket of that scan the
+/// network holds, and with scan_threads > 1 its Matches() runs
+/// concurrently from several workers. Matches() must therefore be const
+/// and thread-safe: no unsynchronized mutable members — per-thread scratch
+/// buffers belong in thread_local storage. A Prepared never outlives its
+/// scan. (The parity proxy's degraded scan of a dead bucket prepares its
+/// own instance and evaluates inline.)
 class ScanFilter {
  public:
   class Prepared {
@@ -272,7 +260,7 @@ class ScanFilter {
   virtual ~ScanFilter() = default;
 
   /// Compiles `arg` into per-scan state. Returning nullptr (e.g. for a
-  /// malformed argument) makes the scan match nothing at this bucket.
+  /// malformed argument) makes the scan match nothing.
   virtual std::unique_ptr<Prepared> Prepare(ByteSpan arg) const = 0;
 };
 

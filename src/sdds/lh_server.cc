@@ -12,15 +12,6 @@ namespace essdds::sdds {
 
 namespace {
 
-/// The bucket a dissolved (or never-created) bucket folds onto: clearing
-/// the top set bit is exactly the parent relation of linear hashing.
-uint64_t ParentBucket(uint64_t bucket) {
-  ESSDDS_CHECK(bucket != 0) << "bucket 0 has no parent";
-  uint64_t top = uint64_t{1} << 63;
-  while ((bucket & top) == 0) top >>= 1;
-  return bucket & ~top;
-}
-
 /// Messages a reconstruction freeze parks: everything that would change
 /// the record store (and thereby emit parity) while the gather snapshots it.
 bool MutatesRecords(MsgType t) {
@@ -252,61 +243,15 @@ void LhBucketServer::HandleKeyOp(Message& msg, Network& net) {
 }
 
 void LhBucketServer::HandleScan(Message& msg, Network& net) {
-  if (retired_) {
-    // Dissolved by a merge: the parent owns the records now (and answers
-    // under its own bucket number, so the client's per-bucket dedup still
-    // sees one live reply per bucket).
-    Message fwd = msg;
-    fwd.from = site_;
-    fwd.to = runtime_->SiteOfBucket(ParentBucket(bucket_number_));
-    fwd.key = ParentBucket(bucket_number_);
-    fwd.hops = msg.hops + 1;
-    net.Send(std::move(fwd));
+  if (!PropagateScan(msg, bucket_number_, level_, retired_, site_, *runtime_,
+                     net)) {
     return;
   }
-
-  // Propagate to every split descendant the sender's image did not cover.
-  // Each existing bucket receives the scan exactly once: the client covers
-  // its image, and each bucket covers the children created by its own
-  // splits past the level the sender assumed. A child dissolved by a
-  // concurrent merge no longer holds records — skip it.
-  for (uint32_t l = msg.assumed_level; l < level_; ++l) {
-    const uint64_t child = bucket_number_ + (uint64_t{1} << l);
-    if (!runtime_->BucketExists(child)) continue;
-    Message fwd = msg;
-    fwd.from = site_;
-    fwd.to = runtime_->SiteOfBucket(child);
-    fwd.key = child;  // intended bucket, for degraded-mode routing
-    fwd.assumed_level = l + 1;
-    fwd.hops = msg.hops + 1;
-    net.Send(std::move(fwd));
-  }
-
-  ScanTask task;
-  task.bucket = bucket_number_;
-  task.columns = columns_.slice();
-  task.filter = &runtime_->FilterById(msg.filter_id);
-  task.arg = Bytes(msg.filter_arg.begin(), msg.filter_arg.end());
-  task.live_generation = &mutation_generation_;
-  task.enqueue_generation = mutation_generation_;
-  task.reply.type = MsgType::kScanReply;
-  task.reply.from = site_;
-  task.reply.to = msg.reply_to;
-  task.reply.request_id = msg.request_id;
-  task.reply.trace_id = msg.trace_id;
-  task.reply.key = bucket_number_;  // lets the client attribute hits to buckets
-  // Piggyback this bucket's level, snapshotted at forward time: a client
-  // without a quiescence barrier (sockets) derives from it exactly which
-  // children the scan was propagated to and awaits those replies too.
-  task.reply.new_level = level_;
-  if (net.deferred_scan_mode()) {
-    // Parallel scan mode: evaluation runs off the messaging path once the
-    // initiator drains the batch; the reply is sent then.
-    net.EnqueueScanTask(std::move(task));
-  } else {
-    ExecuteScanTask(task);
-    net.Send(std::move(task.reply));
-  }
+  // Evaluation runs off the messaging path once the batch drains; the
+  // reply is sent then.
+  net.EnqueueScanTask(runtime_->FilterById(msg.filter_id), msg.filter_arg,
+                      MakeScanTask(msg, bucket_number_, level_, site_,
+                                   columns_, &mutation_generation_));
 }
 
 void LhBucketServer::StartTransfer(const Message& order, Network& net) {
@@ -321,7 +266,7 @@ void LhBucketServer::StartTransfer(const Message& order, Network& net) {
       << MsgTypeToString(order.type) << " level mismatch at bucket "
       << bucket_number_ << ": coordinator " << order.new_level << ", local "
       << level_;
-  // Deferred scans must resolve against the content before the carve-out
+  // Queued scans must resolve against the content before the carve-out
   // leaves the store.
   AboutToMutateRecords(net);
   Message transfer;
@@ -633,13 +578,11 @@ void LhBucketServer::RestoreRebuilt(RebuiltBucket state) {
 }
 
 void LhBucketServer::AboutToMutateRecords(Network& net) {
-  // A deferred scan task borrows the store's buffers until the batch
-  // drains; evaluate any queued for this bucket now, against the
-  // pre-mutation content — exactly what the serial inline mode returned at
-  // kScan delivery, so deferred results stay byte-identical. The generation
-  // step arms the snapshot assert for any mutation path that skips this
-  // call.
-  if (net.deferred_scan_mode()) net.ResolveDeferredScans(bucket_number_);
+  // A queued scan task borrows the store's buffers until the batch drains;
+  // evaluate any queued for this bucket now, against the pre-mutation
+  // content it held at kScan delivery. The generation step arms the
+  // snapshot assert for any mutation path that skips this call.
+  net.ResolveDeferredScans(bucket_number_);
   ++mutation_generation_;
 }
 
@@ -817,7 +760,7 @@ void LhCoordinator::HandleRecoveryTick(const Message& msg, Network& net) {
   // patience window short (and falsely kill a live site).
   if (it->second.generation != msg.request_id) return;
   ++it->second.attempts;
-  if (it->second.attempts < runtime_->options().ping_attempts) {
+  if (it->second.attempts < kPingAttempts) {
     // Unanswered, but a slow or fault-delayed pong is still cheaper than a
     // false declaration (that would burn parity headroom on a live site):
     // ping again and keep waiting.

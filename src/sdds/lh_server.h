@@ -255,6 +255,12 @@ class LhBucketServer : public Site {
 /// the split pointer; double the level when the pointer wraps).
 class LhCoordinator : public Site {
  public:
+  /// Pings sent (ping_timeout_us apart) before a silent bucket is declared
+  /// dead. More attempts make false declaration — which costs one erasure
+  /// of parity headroom for nothing — robust against latency tails and
+  /// protocol-fault retransmission delays.
+  static constexpr uint32_t kPingAttempts = 3;
+
   explicit LhCoordinator(LhRuntime* runtime) : runtime_(runtime) {}
 
   void OnMessage(Message& msg, Network& net) override;
@@ -308,7 +314,7 @@ class LhCoordinator : public Site {
     // re-create it; the timeout tick of the ERASED probe must not declare
     // the new one (it hasn't had its patience window yet).
     uint64_t generation = 0;
-    // Unanswered pings so far; declares at options.ping_attempts.
+    // Unanswered pings so far; declares at kPingAttempts.
     uint32_t attempts = 0;
   };
   std::map<uint64_t, DeadProbe> dead_probes_;  // by bucket number

@@ -40,7 +40,8 @@ class LhSystem : public LhRuntime {
 
   /// Installs a site-side scan filter, returning its id for LhClient::Scan.
   /// Stands in for query code deployed at the sites. The filter's Prepare()
-  /// hook runs once per bucket per scan (possibly from a worker thread when
+  /// hook runs once per scan, and the Prepared instance it returns is
+  /// shared by every bucket of the scan (and by worker threads when
   /// scan_threads > 1), so per-scan state lives in the Prepared instance,
   /// never in the filter itself.
   uint64_t InstallFilter(std::unique_ptr<ScanFilter> filter);

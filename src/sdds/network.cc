@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iomanip>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -74,7 +75,25 @@ std::string Network::TraceDump(uint64_t trace_id) const {
   });
 }
 
-void Network::EnqueueScanTask(ScanTask task) {
+void Network::EnqueueScanTask(const ScanFilter& filter, ByteSpan arg,
+                              ScanTask task) {
+  // One Prepare() per scan, not per bucket: tasks with the same filter and
+  // the same argument belong to the same scan, so they share one compiled
+  // filter instance (Prepared::Matches is const and thread-safe; see the
+  // ScanFilter contract). A scan whose argument fails to compile shares the
+  // nullptr — every one of its buckets answers empty. A batch holds few
+  // distinct scans, so a linear search finds the entry.
+  auto it = std::find_if(
+      pending_prepared_.begin(), pending_prepared_.end(),
+      [&](const PendingScan& p) {
+        return p.filter == &filter && std::ranges::equal(p.arg, arg);
+      });
+  if (it == pending_prepared_.end()) {
+    pending_prepared_.push_back(
+        {&filter, Bytes(arg.begin(), arg.end()), filter.Prepare(arg)});
+    it = std::prev(pending_prepared_.end());
+  }
+  task.prepared = it->prepared.get();
   pending_scans_.push_back(std::move(task));
 }
 
@@ -85,44 +104,20 @@ ScanWorkerPool& Network::scan_pool() {
   return *scan_pool_;
 }
 
-void Network::ResolveDeferredScans(uint64_t bucket) {
-  // Inline, on the calling thread: this runs from a bucket server about to
-  // mutate its records, mid-message-delivery — the pool is reserved for
-  // the batch drain. ExecuteScanTask skips tasks already evaluated.
-  for (ScanTask& task : pending_scans_) {
-    if (task.bucket == bucket) ExecuteScanTask(task);
-  }
-}
-
 void Network::DrainDeferredScans() {
   if (pending_scans_.empty()) return;
   std::vector<ScanTask> batch = std::move(pending_scans_);
   pending_scans_.clear();
+  // The batch's compiled scans live until its evaluation is done; scans
+  // enqueued while the replies go out compile afresh.
+  const std::vector<PendingScan> prepared = std::move(pending_prepared_);
+  pending_prepared_.clear();
 
-  // One Prepare() per scan, not per bucket: tasks with the same filter and
-  // the same argument belong to the same scan, so they share one compiled
-  // filter instance (Prepared::Matches is const and thread-safe; see the
-  // ScanFilter contract). A scan whose argument fails to compile shares the
-  // nullptr — every one of its buckets answers empty. Tasks a bucket
-  // already resolved ahead of a mutation carry their hits and are skipped.
-  std::vector<std::unique_ptr<ScanFilter::Prepared>> prepared_pool;
-  std::map<std::pair<const ScanFilter*, Bytes>, const ScanFilter::Prepared*>
-      by_scan;
-  for (ScanTask& task : batch) {
-    if (task.evaluated) continue;
-    auto key = std::make_pair(task.filter, task.arg);
-    auto it = by_scan.find(key);
-    if (it == by_scan.end()) {
-      prepared_pool.push_back(task.filter->Prepare(task.arg));
-      it = by_scan.emplace(std::move(key), prepared_pool.back().get()).first;
-    }
-    task.shared_prepared = it->second;
-    task.has_shared_prepared = true;
-  }
-
+  // Tasks a bucket already resolved ahead of a mutation carry their hits
+  // and are skipped.
   scan_pool().Run(batch, scan_shard_min_records_);
   // Replies go out in ascending bucket order: the one deterministic order
-  // independent of worker scheduling (and of the serial delivery order).
+  // independent of worker scheduling.
   std::stable_sort(batch.begin(), batch.end(),
                    [](const ScanTask& a, const ScanTask& b) {
                      return a.bucket < b.bucket;

@@ -74,8 +74,8 @@ struct NetworkStats {
 
 /// The delivery contract every simulated multicomputer implements: sites
 /// register, Send() accounts the traffic and (eventually) invokes the
-/// destination's OnMessage, and the deferred scan batch runs off the
-/// messaging path. Two implementations exist: the synchronous SimNetwork
+/// destination's OnMessage, and the batch of queued bucket scans runs off
+/// the messaging path. Two implementations exist: the synchronous SimNetwork
 /// below (Send delivers re-entrantly before returning — deterministic,
 /// zero-latency) and the discrete-event EventNetwork (event_network.h:
 /// seeded latency schedule, reordering, fault injection; deliveries happen
@@ -171,11 +171,11 @@ class Network {
   /// itself goes through Send and is charged there).
   void NoteRetry() { ++stats_.retried_messages; }
 
-  // --- deferred (parallel) scan mode ---
+  // --- bucket scans ---
 
-  /// Worker threads for scan evaluation; values <= 1 keep scans inline.
-  /// Resizing discards the current pool (workers join); the next parallel
-  /// scan starts a fresh one at the new size.
+  /// Worker threads for scan evaluation; 0 and 1 run every batch serially
+  /// on the draining thread. Resizing discards the current pool (workers
+  /// join); the next batch uses a fresh one at the new size.
   void set_scan_threads(size_t threads) {
     scan_threads_ = threads;
     scan_pool_.reset();
@@ -187,26 +187,32 @@ class Network {
   void set_scan_shard_min_records(size_t n) { scan_shard_min_records_ = n; }
   size_t scan_shard_min_records() const { return scan_shard_min_records_; }
 
-  /// True when bucket servers should defer scan evaluation to the batch.
-  bool deferred_scan_mode() const { return scan_threads_ > 1; }
-
-  /// Queues one bucket's scan evaluation (bucket servers, deferred mode).
-  void EnqueueScanTask(ScanTask task);
+  /// Queues one bucket's evaluation of a scan of `filter` with argument
+  /// `arg` (bucket servers, on kScan). The scan is compiled here, once:
+  /// every task of the pending batch with the same filter and argument
+  /// shares one Prepare()d instance.
+  void EnqueueScanTask(const ScanFilter& filter, ByteSpan arg, ScanTask task);
 
   /// Evaluates all queued scan tasks on the persistent worker pool and
-  /// sends their replies in ascending bucket order. Tasks belonging to the
-  /// same scan — same filter, same argument — share one Prepare()d filter
-  /// instance across all their buckets. Scan initiators call this after
-  /// fanning out their kScan messages; a no-op when nothing is queued.
+  /// sends their replies in ascending bucket order. Scan initiators call
+  /// this after fanning out their kScan messages, and the socket tier once
+  /// per poll turn; a no-op when nothing is queued.
   void DrainDeferredScans();
 
   /// Evaluates the queued tasks of `bucket` immediately, on the calling
   /// thread. Bucket servers call this before mutating their records: a
   /// queued task borrows the store's buffers, so it must capture its hits
-  /// while the content still matches what the serial inline mode saw at
-  /// kScan delivery. The reply is kept and sent by the drain as usual, so
-  /// traffic accounting is unchanged.
-  void ResolveDeferredScans(uint64_t bucket);
+  /// while the content still matches what the bucket held at kScan
+  /// delivery. The reply is kept and sent by the drain as usual. Inline:
+  /// every record mutation pays only the empty-queue check.
+  void ResolveDeferredScans(uint64_t bucket) {
+    for (ScanTask& task : pending_scans_) {
+      if (task.bucket == bucket) ExecuteScanTask(task);
+    }
+  }
+
+  /// True while scan tasks wait for a drain.
+  bool scans_pending() const { return !pending_scans_.empty(); }
 
   /// The network's persistent scan worker pool, created at scan_threads()
   /// size on first use. Workers start lazily on the first parallel batch.
@@ -233,9 +239,17 @@ class Network {
   /// nothing in an OFF build.
   void NoteSendMetrics(const Message& msg, uint64_t bytes);
 
+  /// One compiled scan of the pending batch.
+  struct PendingScan {
+    const ScanFilter* filter = nullptr;
+    Bytes arg;
+    std::unique_ptr<ScanFilter::Prepared> prepared;
+  };
+
   size_t scan_threads_ = 0;
   size_t scan_shard_min_records_ = 1024;
   std::vector<ScanTask> pending_scans_;
+  std::vector<PendingScan> pending_prepared_;
   std::unique_ptr<ScanWorkerPool> scan_pool_;
 
   obs::MetricRegistry metrics_;
@@ -251,12 +265,11 @@ class Network {
 /// the traffic.
 ///
 /// The messaging path is single-threaded by design (determinism). The one
-/// concession to parallelism is the deferred scan mode: with scan_threads
-/// set above 1, bucket servers enqueue their scan evaluations here instead
-/// of evaluating inline, DrainDeferredScans() runs the batch on a worker
-/// pool, and the completed replies are then sent serially in ascending
-/// bucket order — so results and traffic accounting are identical to the
-/// serial mode.
+/// concession to parallelism is the scan batch: bucket servers enqueue
+/// their scan evaluations here, DrainDeferredScans() runs the batch on the
+/// worker pool (serially with scan_threads <= 1), and the completed replies
+/// are then sent serially in ascending bucket order — so results and
+/// traffic accounting do not depend on the pool size.
 class SimNetwork final : public Network {
  public:
   SimNetwork() = default;

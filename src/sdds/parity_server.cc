@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <utility>
 
 #include "sdds/scan_executor.h"
@@ -10,15 +11,6 @@
 namespace essdds::sdds {
 
 namespace {
-
-/// Parent relation of linear hashing (clear the top set bit); mirrors
-/// lh_server.cc's fold rule for dissolved/never-created addresses.
-uint64_t ParentBucket(uint64_t bucket) {
-  ESSDDS_CHECK(bucket != 0) << "bucket 0 has no parent";
-  uint64_t top = uint64_t{1} << 63;
-  while ((bucket & top) == 0) top >>= 1;
-  return bucket & ~top;
-}
 
 void TrimTrailingZeros(Bytes* b) {
   while (!b->empty() && b->back() == 0) b->pop_back();
@@ -914,48 +906,23 @@ void ParityServer::ServeDegradedLookup(Message& msg, Network& net,
 void ParityServer::ServeDegradedScan(Message& msg, Network& net, int member) {
   const Shadow& sh = shadow_.at(member);
   const uint64_t bucket = BucketOfMember(member);
-  if (sh.retired) {
-    // As the dead merge victim would: its parent owns the records now.
-    Message fwd = msg;
-    fwd.from = site_;
-    fwd.to = runtime_->SiteOfBucket(ParentBucket(bucket));
-    fwd.key = ParentBucket(bucket);
-    fwd.hops = msg.hops + 1;
-    net.Send(std::move(fwd));
+  // Route exactly as the dead server would have (its reconstructed level
+  // and retired flag say where).
+  if (!PropagateScan(msg, bucket, sh.level, sh.retired, site_, *runtime_,
+                     net)) {
     return;
-  }
-  // Propagate to split descendants the sender's image missed, exactly as
-  // the dead server would have (its reconstructed level says which).
-  for (uint32_t l = msg.assumed_level; l < sh.level; ++l) {
-    const uint64_t child = bucket + (uint64_t{1} << l);
-    if (!runtime_->BucketExists(child)) continue;
-    Message fwd = msg;
-    fwd.from = site_;
-    fwd.to = runtime_->SiteOfBucket(child);
-    fwd.key = child;
-    fwd.assumed_level = l + 1;
-    fwd.hops = msg.hops + 1;
-    net.Send(std::move(fwd));
   }
   if (obs::kMetricsEnabled) {
     net.metrics().counter("recovery.degraded_scans").Increment();
   }
-  ScanTask task;
-  task.bucket = bucket;
-  task.columns = sh.records.slice();
-  task.filter = &runtime_->FilterById(msg.filter_id);
-  task.arg = Bytes(msg.filter_arg.begin(), msg.filter_arg.end());
-  task.live_generation = &shadow_generation_;
-  task.enqueue_generation = shadow_generation_;
-  task.reply.type = MsgType::kScanReply;
-  task.reply.from = site_;
-  task.reply.to = msg.reply_to;
-  task.reply.request_id = msg.request_id;
-  task.reply.trace_id = msg.trace_id;
-  task.reply.key = bucket;
-  task.reply.new_level = sh.level;
-  // Always evaluated inline: the shadow is immutable while it exists, and
-  // parking it in the deferred batch would dangle once the bucket installs.
+  ScanTask task = MakeScanTask(msg, bucket, sh.level, site_, sh.records,
+                               &shadow_generation_);
+  // Always evaluated inline: the shadow is immutable while it exists, and a
+  // task queued in the network's batch would dangle once the bucket
+  // installs.
+  const std::unique_ptr<ScanFilter::Prepared> prepared =
+      runtime_->FilterById(msg.filter_id).Prepare(msg.filter_arg);
+  task.prepared = prepared.get();
   ExecuteScanTask(task);
   net.Send(std::move(task.reply));
 }

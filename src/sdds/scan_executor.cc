@@ -4,6 +4,7 @@
 #include <iterator>
 #include <utility>
 
+#include "sdds/network.h"
 #include "util/logging.h"
 
 namespace essdds::sdds {
@@ -23,19 +24,57 @@ void CheckSnapshotLive(const ScanTask& task) {
 
 }  // namespace
 
+bool PropagateScan(const Message& msg, uint64_t bucket, uint32_t level,
+                   bool retired, SiteId self, const LhRuntime& runtime,
+                   Network& net) {
+  if (retired) {
+    Message fwd = msg;
+    fwd.from = self;
+    fwd.to = runtime.SiteOfBucket(ParentBucket(bucket));
+    fwd.key = ParentBucket(bucket);
+    fwd.hops = msg.hops + 1;
+    net.Send(std::move(fwd));
+    return false;
+  }
+  for (uint32_t l = msg.assumed_level; l < level; ++l) {
+    const uint64_t child = bucket + (uint64_t{1} << l);
+    if (!runtime.BucketExists(child)) continue;
+    Message fwd = msg;
+    fwd.from = self;
+    fwd.to = runtime.SiteOfBucket(child);
+    fwd.key = child;  // intended bucket, for degraded-mode routing
+    fwd.assumed_level = l + 1;
+    fwd.hops = msg.hops + 1;
+    net.Send(std::move(fwd));
+  }
+  return true;
+}
+
+ScanTask MakeScanTask(const Message& msg, uint64_t bucket, uint32_t level,
+                      SiteId self, const ColumnStore& store,
+                      const uint64_t* generation) {
+  ScanTask task;
+  task.bucket = bucket;
+  task.columns = store.slice();
+  task.live_generation = generation;
+  task.enqueue_generation = *generation;
+  task.reply.type = MsgType::kScanReply;
+  task.reply.from = self;
+  task.reply.to = msg.reply_to;
+  task.reply.request_id = msg.request_id;
+  task.reply.trace_id = msg.trace_id;
+  task.reply.key = bucket;  // lets the client attribute hits to buckets
+  task.reply.new_level = level;
+  return task;
+}
+
 void ExecuteScanTask(ScanTask& task) {
   if (task.evaluated) return;
   CheckSnapshotLive(task);
-  std::unique_ptr<ScanFilter::Prepared> local;
-  const ScanFilter::Prepared* prepared = task.shared_prepared;
-  if (!task.has_shared_prepared) {
-    local = task.filter->Prepare(task.arg);
-    prepared = local.get();
-  }
   task.evaluated = true;
-  if (prepared == nullptr) return;  // malformed argument: empty reply
-  prepared->MatchColumns(task.columns, 0, task.columns.count,
-                         &task.reply.records);
+  if (task.prepared == nullptr) return;  // malformed argument: empty reply
+  task.prepared->MatchColumns(task.columns, 0, task.columns.count,
+                              &task.reply.records);
 }
 
 ScanWorkerPool::ScanWorkerPool(size_t threads, obs::MetricRegistry* metrics)
@@ -44,6 +83,65 @@ ScanWorkerPool::ScanWorkerPool(size_t threads, obs::MetricRegistry* metrics)
     batch_tasks_hist_ = &metrics->histogram("scan.batch_tasks");
     batch_shards_hist_ = &metrics->histogram("scan.batch_shards");
   }
+}
+
+void ScanWorkerPool::EvaluateShard(Shard& shard) {
+  // One batch call over the index range; the filter walks the packed arena
+  // itself.
+  shard.task->prepared->MatchColumns(shard.task->columns, shard.begin,
+                                     shard.end, &shard.hits);
+}
+
+void ScanWorkerPool::Run(std::vector<ScanTask>& tasks,
+                         size_t shard_min_records) {
+  // Shard planning runs on the caller: snapshot checks, then contiguous
+  // index-range carving. Without parallel workers every task is one
+  // whole-bucket shard. Treat a threshold of 0 as 1 — shard everything
+  // with more than one record.
+  const size_t min_records = std::max<size_t>(shard_min_records, 1);
+  const size_t max_parts =
+      threads_compiled_in() ? std::max<size_t>(threads_, 1) : 1;
+  std::vector<Shard> shards;
+  std::vector<ScanTask*> planned;
+  for (ScanTask& task : tasks) {
+    if (task.evaluated) continue;
+    CheckSnapshotLive(task);
+    if (task.prepared == nullptr) {  // malformed argument: empty reply
+      task.evaluated = true;
+      continue;
+    }
+    // Equal record counts by index: exact balance for any key distribution
+    // (parts <= n, so every shard holds at least one record; an empty
+    // bucket is one empty shard). Ranges are contiguous and ascending, so
+    // the splice below reassembles the reply in ascending key order.
+    const size_t n = task.columns.count;
+    size_t parts = 1;
+    if (n > min_records) {
+      parts = std::min(max_parts, (n + min_records - 1) / min_records);
+    }
+    for (size_t s = 0; s < parts; ++s) {
+      Shard shard;
+      shard.task = &task;
+      shard.begin = n * s / parts;
+      shard.end = n * (s + 1) / parts;
+      shards.push_back(std::move(shard));
+    }
+    planned.push_back(&task);
+  }
+  if (batch_tasks_hist_ != nullptr) {
+    batch_tasks_hist_->Record(planned.size());
+    batch_shards_hist_->Record(shards.size());
+  }
+  RunBatch(shards);
+  // Splice: shards were planned in task order with ascending key ranges,
+  // so a straight append reassembles each reply in ascending key order —
+  // byte-identical to a whole-bucket evaluation.
+  for (Shard& shard : shards) {
+    auto& out = shard.task->reply.records;
+    out.insert(out.end(), std::make_move_iterator(shard.hits.begin()),
+               std::make_move_iterator(shard.hits.end()));
+  }
+  for (ScanTask* task : planned) task->evaluated = true;
 }
 
 #if ESSDDS_THREADS
@@ -65,13 +163,6 @@ void ScanWorkerPool::StartWorkers() {
   for (size_t w = 0; w < threads_; ++w) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
-}
-
-void ScanWorkerPool::EvaluateShard(Shard& shard) {
-  // One batch call over the index range; the filter walks the packed arena
-  // itself.
-  shard.prepared->MatchColumns(shard.task->columns, shard.begin, shard.end,
-                               &shard.hits);
 }
 
 void ScanWorkerPool::DrainShards(BatchState& state) {
@@ -112,126 +203,40 @@ void ScanWorkerPool::WorkerLoop() {
   }
 }
 
-void ScanWorkerPool::RunBatch(std::vector<Shard>& shards) {
-  StartWorkers();
-  auto state = std::make_shared<BatchState>();
-  state->shards = shards.data();
-  state->total = shards.size();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    batch_ = state;
-    ++batch_seq_;
-  }
-  work_cv_.notify_all();
-  // The caller evaluates too: it claims shards alongside the workers
-  // rather than sleeping while they drain the queue — a small batch often
-  // completes entirely on this thread before a worker even wakes.
-  DrainShards(*state);
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [&] {
-    return state->done.load(std::memory_order_acquire) == state->total;
-  });
-  batch_.reset();
-}
-
-void ScanWorkerPool::Run(std::vector<ScanTask>& tasks,
-                         size_t shard_min_records) {
-  if (threads_ <= 1) {
-    size_t executed = 0;
-    for (ScanTask& task : tasks) {
-      if (!task.evaluated) ++executed;
-      ExecuteScanTask(task);
-    }
-    if (batch_tasks_hist_ != nullptr) {
-      batch_tasks_hist_->Record(executed);
-      // Serial mode: every task is its own (whole-bucket) shard.
-      batch_shards_hist_->Record(executed);
-    }
-    return;
-  }
-  // Shard planning runs on the caller: per-task Prepare (when the drain did
-  // not attach a shared instance), snapshot checks, and contiguous index
-  // range carving. Treat a threshold of 0 as 1 — shard everything with more
-  // than one record.
-  const size_t min_records = std::max<size_t>(shard_min_records, 1);
-  std::vector<std::unique_ptr<ScanFilter::Prepared>> local_prepared;
-  std::vector<Shard> shards;
-  std::vector<ScanTask*> planned;
-  for (ScanTask& task : tasks) {
-    if (task.evaluated) continue;
-    CheckSnapshotLive(task);
-    const ScanFilter::Prepared* prepared = task.shared_prepared;
-    if (!task.has_shared_prepared) {
-      local_prepared.push_back(task.filter->Prepare(task.arg));
-      prepared = local_prepared.back().get();
-    }
-    if (prepared == nullptr) {  // malformed argument: empty reply
-      task.evaluated = true;
-      continue;
-    }
-    // Equal record counts by index: exact balance for any key distribution
-    // (parts <= n, so every shard holds at least one record; an empty
-    // bucket is one empty shard). Ranges are contiguous and ascending, so
-    // the splice below reassembles the reply in ascending key order.
-    const size_t n = task.columns.count;
-    size_t parts = 1;
-    if (n > min_records) {
-      parts = std::min(threads_, (n + min_records - 1) / min_records);
-    }
-    for (size_t s = 0; s < parts; ++s) {
-      Shard shard;
-      shard.task = &task;
-      shard.begin = n * s / parts;
-      shard.end = n * (s + 1) / parts;
-      shard.prepared = prepared;
-      shards.push_back(std::move(shard));
-    }
-    planned.push_back(&task);
-  }
-  if (batch_tasks_hist_ != nullptr) {
-    batch_tasks_hist_->Record(planned.size());
-    batch_shards_hist_->Record(shards.size());
-  }
-  if (!shards.empty()) {
-    if (shards.size() == 1) {
-      EvaluateShard(shards.front());
-    } else {
-      RunBatch(shards);
-    }
-    // Splice: shards were planned in task order with ascending key ranges,
-    // so a straight append reassembles each reply in ascending key order —
-    // byte-identical to the serial evaluation.
-    for (Shard& shard : shards) {
-      auto& out = shard.task->reply.records;
-      out.insert(out.end(), std::make_move_iterator(shard.hits.begin()),
-                 std::make_move_iterator(shard.hits.end()));
-    }
-  }
-  for (ScanTask* task : planned) task->evaluated = true;
-}
-
 #else  // !ESSDDS_THREADS
 
 ScanWorkerPool::~ScanWorkerPool() = default;
 
 size_t ScanWorkerPool::started_workers() const { return 0; }
 
-void ScanWorkerPool::Run(std::vector<ScanTask>& tasks,
-                         size_t shard_min_records) {
-  // Thread support compiled out: the pool is the serial path, regardless of
-  // its configured size or the shard threshold.
-  (void)shard_min_records;
-  size_t executed = 0;
-  for (ScanTask& task : tasks) {
-    if (!task.evaluated) ++executed;
-    ExecuteScanTask(task);
-  }
-  if (batch_tasks_hist_ != nullptr) {
-    batch_tasks_hist_->Record(executed);
-    batch_shards_hist_->Record(executed);
-  }
-}
-
 #endif  // ESSDDS_THREADS
+
+void ScanWorkerPool::RunBatch(std::vector<Shard>& shards) {
+#if ESSDDS_THREADS
+  if (threads_ > 1 && shards.size() > 1) {
+    StartWorkers();
+    auto state = std::make_shared<BatchState>();
+    state->shards = shards.data();
+    state->total = shards.size();
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      batch_ = state;
+      ++batch_seq_;
+    }
+    work_cv_.notify_all();
+    // The caller evaluates too: it claims shards alongside the workers
+    // rather than sleeping while they drain the queue — a small batch often
+    // completes entirely on this thread before a worker even wakes.
+    DrainShards(*state);
+    std::unique_lock<std::mutex> lock(mu_);
+    done_cv_.wait(lock, [&] {
+      return state->done.load(std::memory_order_acquire) == state->total;
+    });
+    batch_.reset();
+    return;
+  }
+#endif
+  for (Shard& shard : shards) EvaluateShard(shard);
+}
 
 }  // namespace essdds::sdds

@@ -18,34 +18,30 @@
 
 namespace essdds::sdds {
 
-/// One deferred bucket-scan evaluation. In parallel scan mode a bucket
-/// server answers a kScan message by enqueueing this task instead of
-/// evaluating inline; the filter work then runs off the messaging path so
-/// a worker pool can evaluate buckets concurrently. The reply message is
-/// pre-filled with everything except the hit records.
+class Network;
+
+/// One bucket's evaluation of a scan. A bucket server answers a kScan by
+/// queueing this task with the network (Network::EnqueueScanTask), which
+/// evaluates the batch off the messaging path when the scan initiator (or
+/// the socket poll turn) drains it. The reply message is pre-filled with
+/// everything except the hit records.
 ///
 /// `columns` borrows the bucket's record store (ColumnStore::slice), and
-/// evaluation runs the filter's batch MatchColumns path over it. The bucket
+/// evaluation runs the scan's batch MatchColumns path over it. The bucket
 /// guards the borrow: before any record mutation it asks the network to
 /// resolve its queued tasks (Network::ResolveDeferredScans), so a task is
-/// always evaluated against exactly the content the serial inline mode
-/// would have seen at kScan delivery. `live_generation`/`enqueue_generation`
-/// assert that contract: the bucket bumps its mutation generation on every
-/// record change, and evaluation aborts if the snapshot went stale anyway.
+/// always evaluated against exactly the content the bucket held at kScan
+/// delivery. `live_generation`/`enqueue_generation` assert that contract:
+/// the bucket bumps its mutation generation on every record change, and
+/// evaluation aborts if the snapshot went stale anyway.
 struct ScanTask {
   uint64_t bucket = 0;
   ColumnSlice columns;
-  const ScanFilter* filter = nullptr;
-  Bytes arg;      // owned copy of the scan argument (workers never touch
-                  // the originating message)
-  Message reply;  // header pre-filled; `records` appended by the worker
-
-  /// When `has_shared_prepared` is set, the drain already compiled the scan
-  /// argument once for every bucket of this scan; the worker uses
-  /// `shared_prepared` (nullptr = malformed argument, empty reply) instead
-  /// of running Prepare() itself.
-  const ScanFilter::Prepared* shared_prepared = nullptr;
-  bool has_shared_prepared = false;
+  /// The scan's compiled filter, shared by every bucket of the scan
+  /// (nullptr = malformed argument, empty reply). For a queued task the
+  /// network's pending batch owns it until the task is evaluated.
+  const ScanFilter::Prepared* prepared = nullptr;
+  Message reply;  // header pre-filled; `records` appended by evaluation
 
   /// Dangling-snapshot guard: the owning bucket's mutation counter, and its
   /// value when the task was enqueued. Evaluation CHECKs them equal.
@@ -58,11 +54,32 @@ struct ScanTask {
   bool evaluated = false;
 };
 
-/// Evaluates one task inline on the calling thread: prepares the filter
-/// from the task's argument (unless a shared Prepared is attached) and
-/// fills task.reply.records with the hits, in ascending key order (the
-/// store's order — deterministic regardless of execution order).
-/// No-op when the task is already evaluated.
+/// Routes a kScan the way bucket `bucket` (its split `level`, hosted at
+/// site `self`) must before answering it. A `retired` bucket was dissolved
+/// by a merge: the scan goes to its parent, which owns the records now and
+/// answers under its own number, and the result is false. Otherwise the
+/// scan is propagated to every split child the sender's image did not
+/// cover, and true says this bucket answers. Each existing bucket receives
+/// the scan exactly once: the client covers its image, and each bucket
+/// covers the children created by its own splits past the level the
+/// sender assumed; a child dissolved by a concurrent merge is skipped.
+bool PropagateScan(const Message& msg, uint64_t bucket, uint32_t level,
+                   bool retired, SiteId self, const LhRuntime& runtime,
+                   Network& net);
+
+/// The task that answers `msg` at `bucket` from `store`, guarded by
+/// `*generation`, with its kScanReply header filled in. The reply carries
+/// `level`, snapshotted at forward time: a client without a quiescence
+/// barrier (sockets) derives from it exactly which children the scan was
+/// propagated to and awaits those replies too. `prepared` is left unset.
+ScanTask MakeScanTask(const Message& msg, uint64_t bucket, uint32_t level,
+                      SiteId self, const ColumnStore& store,
+                      const uint64_t* generation);
+
+/// Evaluates one task on the calling thread with its attached Prepared,
+/// filling task.reply.records with the hits in ascending key order (the
+/// store's order — deterministic regardless of execution order). No-op
+/// when the task is already evaluated.
 void ExecuteScanTask(ScanTask& task);
 
 /// Long-lived fixed-size worker pool for scan evaluation. One instance is
@@ -82,8 +99,9 @@ void ExecuteScanTask(ScanTask& task);
 /// Lifecycle: construction is cheap and spawns nothing; workers start
 /// lazily on the first batch that can use them and are joined by the
 /// destructor (clean shutdown, no detached threads). With `threads` <= 1,
-/// or in a build without thread support (ESSDDS_THREADS off), Run() is the
-/// plain serial loop and no worker ever starts.
+/// or in a build without thread support (ESSDDS_THREADS off), every task
+/// is one whole-bucket shard, the batch runs serially on the caller and no
+/// worker ever starts.
 ///
 /// Thread safety: Run() is driven from the single-threaded messaging path;
 /// concurrent Run() calls are not supported (nor possible — the simulator
@@ -103,8 +121,8 @@ class ScanWorkerPool {
   ScanWorkerPool(const ScanWorkerPool&) = delete;
   ScanWorkerPool& operator=(const ScanWorkerPool&) = delete;
 
-  /// True when the build carries thread support; false means Run() is
-  /// compiled down to the serial path and no worker can ever start.
+  /// True when the build carries thread support; false means Run() always
+  /// evaluates serially on the caller and no worker can ever start.
   static constexpr bool threads_compiled_in() {
 #if ESSDDS_THREADS
     return true;
@@ -120,24 +138,30 @@ class ScanWorkerPool {
   /// thread_count() for the pool's lifetime.
   size_t started_workers() const;
 
-  /// Evaluates every not-yet-evaluated task and returns once all replies
-  /// are filled. Tasks run on the pool (sharded per the threshold) when the
-  /// pool is parallel, serially on the caller otherwise; results are
-  /// byte-identical either way.
+  /// Evaluates every not-yet-evaluated task with its attached Prepared and
+  /// returns once all replies are filled. Tasks run on the pool (sharded
+  /// per the threshold) when the pool is parallel, serially on the caller
+  /// otherwise; results are byte-identical either way.
   void Run(std::vector<ScanTask>& tasks, size_t shard_min_records);
 
  private:
-#if ESSDDS_THREADS
   /// One contiguous index range [begin, end) of a task's slice, with its
   /// own hit vector so workers never contend on the reply.
   struct Shard {
     ScanTask* task = nullptr;
     size_t begin = 0;
     size_t end = 0;
-    const ScanFilter::Prepared* prepared = nullptr;
     std::vector<WireRecord> hits;
   };
 
+  static void EvaluateShard(Shard& shard);
+
+  /// Evaluates every shard: on the workers and the caller together when
+  /// the pool is parallel and the batch has more than one shard, serially
+  /// on the caller otherwise.
+  void RunBatch(std::vector<Shard>& shards);
+
+#if ESSDDS_THREADS
   /// Per-batch claim state, heap-allocated and shared with every worker
   /// that wakes for the batch. Owning the claim tickets batch-locally (not
   /// as reusable pool members) makes stragglers harmless: a worker
@@ -154,10 +178,8 @@ class ScanWorkerPool {
     std::atomic<size_t> done{0};  // completed-shard count
   };
 
-  static void EvaluateShard(Shard& shard);
   void StartWorkers();
   void WorkerLoop();
-  void RunBatch(std::vector<Shard>& shards);
 
   /// Claims and evaluates shards until the batch's tickets run out; run by
   /// the workers AND by the batch caller (the caller evaluates alongside

@@ -13,6 +13,7 @@
 #include "obs/metrics.h"
 #include "persist/persist_manager.h"
 #include "sdds/message.h"
+#include "tests/util/numbered_value.h"
 #include "util/bytes.h"
 
 namespace essdds::persist {
@@ -182,7 +183,7 @@ TEST_F(BucketLogTest, AdoptRepairsTornTailAndRetiresOldNonces) {
     auto log = Open("bucket-0.log", /*fresh=*/true);
     ASSERT_NE(log, nullptr);
     for (uint64_t k = 0; k < 10; ++k) {
-      state[k] = ToBytes("v" + std::to_string(k));
+      state[k] = test::NumberedValue(k);
       ASSERT_TRUE(log->AppendPut(k, ByteSpan(state[k])));
     }
     old_epoch = log->epoch();

@@ -210,6 +210,8 @@ void VerifyRecovery(const std::string& dir,
   scan.filter_id = 0;
   scan.assumed_level = server.level();
   net.Send(std::move(scan));
+  // The bucket queued its evaluation; the drain sends the reply.
+  net.DrainDeferredScans();
   ASSERT_EQ(sink.received.size(), 1u) << label;
   const Message& reply = sink.received[0];
   ASSERT_EQ(reply.type, MsgType::kScanReply) << label;

@@ -72,7 +72,9 @@ TEST_F(SequenceFileTest, BatchExhaustionExtendsReservation) {
   // Cross the first reservation boundary; values stay strictly increasing.
   for (uint64_t i = 0; i < SequenceFile::kBatch + 10; ++i) {
     const uint64_t v = sf->Next();
-    if (i > 0) EXPECT_GT(v, last);
+    if (i > 0) {
+      EXPECT_GT(v, last);
+    }
     last = v;
   }
   EXPECT_GE(sf->ceiling(), last);

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "sdds/lh_system.h"
+#include "tests/util/numbered_value.h"
 
 namespace essdds::sdds {
 namespace {
@@ -217,7 +218,7 @@ TEST(EventNetworkSystemTest, InsertLookupDeleteAcrossSplits) {
   LhSystem sys(EventOptions(2024));
   LhClient* c = sys.NewClient();
   for (uint64_t k = 0; k < 200; ++k) {
-    EXPECT_FALSE(c->Insert(k, ToBytes("v" + std::to_string(k))));
+    EXPECT_FALSE(c->Insert(k, test::NumberedValue(k)));
   }
   sys.network().PumpUntilIdle();  // let restructuring settle
   EXPECT_GT(sys.bucket_count(), 1u) << "capacity 8 must have split";
@@ -225,7 +226,7 @@ TEST(EventNetworkSystemTest, InsertLookupDeleteAcrossSplits) {
   for (uint64_t k = 0; k < 200; ++k) {
     auto r = c->Lookup(k);
     ASSERT_TRUE(r.ok()) << "key " << k;
-    EXPECT_EQ(*r, ToBytes("v" + std::to_string(k)));
+    EXPECT_EQ(*r, test::NumberedValue(k));
   }
   EXPECT_TRUE(c->Delete(77).ok());
   EXPECT_TRUE(c->Lookup(77).status().IsNotFound());

@@ -5,12 +5,11 @@
 #include <vector>
 
 #include "sdds/lh_system.h"
+#include "tests/util/numbered_value.h"
 #include "util/random.h"
 
 namespace essdds::sdds {
 namespace {
-
-Bytes Val(uint64_t k) { return ToBytes("v" + std::to_string(k)); }
 
 LhOptions ShrinkingOptions() {
   return LhOptions{.bucket_capacity = 8, .merge_threshold = 0.25};
@@ -23,7 +22,7 @@ TEST(LhShrinkTest, FileShrinksAfterMassDeletes) {
   std::vector<uint64_t> keys;
   for (int i = 0; i < 2000; ++i) {
     keys.push_back(rng.Next());
-    c->Insert(keys.back(), Val(keys.back()));
+    c->Insert(keys.back(), test::NumberedValue(keys.back()));
   }
   const size_t peak = sys.bucket_count();
   ASSERT_GT(peak, 64u);
@@ -37,7 +36,7 @@ TEST(LhShrinkTest, FileShrinksAfterMassDeletes) {
   for (size_t i = keys.size() - 50; i < keys.size(); ++i) {
     auto r = c->Lookup(keys[i]);
     ASSERT_TRUE(r.ok()) << "key " << keys[i];
-    EXPECT_EQ(*r, Val(keys[i]));
+    EXPECT_EQ(*r, test::NumberedValue(keys[i]));
   }
 }
 
@@ -48,7 +47,7 @@ TEST(LhShrinkTest, CoordinatorStateStaysConsistent) {
   std::vector<uint64_t> keys;
   for (int i = 0; i < 1000; ++i) {
     keys.push_back(rng.Next());
-    c->Insert(keys.back(), Val(keys.back()));
+    c->Insert(keys.back(), test::NumberedValue(keys.back()));
   }
   for (uint64_t k : keys) ASSERT_TRUE(c->Delete(k).ok());
   // Extent must equal 2^i + n at all times; check the final state.
@@ -71,7 +70,7 @@ TEST(LhShrinkTest, GrowShrinkGrowCycleKeepsAllRecords) {
   for (int cycle = 0; cycle < 3; ++cycle) {
     for (int i = 0; i < 800; ++i) {
       uint64_t k = rng.Next();
-      c->Insert(k, Val(k));
+      c->Insert(k, test::NumberedValue(k));
       live.insert(k);
     }
     // Delete ~75%.
@@ -98,7 +97,7 @@ TEST(LhShrinkTest, StaleAheadClientStillReachesEverything) {
   std::vector<uint64_t> keys;
   for (int i = 0; i < 1500; ++i) {
     keys.push_back(rng.Next());
-    writer->Insert(keys.back(), Val(keys.back()));
+    writer->Insert(keys.back(), test::NumberedValue(keys.back()));
   }
   // Warm the writer's image at peak size.
   for (uint64_t k : keys) ASSERT_TRUE(writer->Lookup(k).ok());
@@ -146,7 +145,7 @@ TEST(LhShrinkTest, RetiredBucketForwardsStaleKeyRequests) {
   std::vector<uint64_t> keys;
   for (int i = 0; i < 1500; ++i) {
     keys.push_back(rng.Next());
-    c->Insert(keys.back(), Val(keys.back()));
+    c->Insert(keys.back(), test::NumberedValue(keys.back()));
   }
   const size_t peak = sys.bucket_count();
   ASSERT_GT(peak, 2u);
@@ -178,7 +177,7 @@ TEST(LhShrinkTest, RetiredBucketForwardsStaleKeyRequests) {
   const Message& reply = probe.received[0];
   EXPECT_EQ(reply.type, MsgType::kLookupReply);
   EXPECT_TRUE(reply.found) << "record lost behind the retired bucket";
-  EXPECT_EQ(reply.value, Val(keys[0]));
+  EXPECT_EQ(reply.value, test::NumberedValue(keys[0]));
 
   // Same for a delete of a key that never existed: routed, answered, no
   // phantom state.
@@ -202,7 +201,7 @@ TEST(LhShrinkTest, RetiredBucketForwardsStaleScans) {
   std::vector<uint64_t> keys;
   for (int i = 0; i < 1200; ++i) {
     keys.push_back(rng.Next());
-    c->Insert(keys.back(), Val(keys.back()));
+    c->Insert(keys.back(), test::NumberedValue(keys.back()));
   }
   const size_t peak = sys.bucket_count();
   ASSERT_GT(peak, 2u);
@@ -227,6 +226,8 @@ TEST(LhShrinkTest, RetiredBucketForwardsStaleScans) {
   scan.assumed_level = 31;
   scan.to = retired_site;
   sys.network().Send(std::move(scan));
+  // The serving bucket queued its evaluation; the drain sends the reply.
+  sys.network().DrainDeferredScans();
 
   ASSERT_EQ(probe.received.size(), 1u);
   const Message& reply = probe.received[0];
@@ -240,11 +241,11 @@ TEST(LhShrinkTest, RetiredBucketForwardsStaleScans) {
 TEST(LhShrinkTest, NeverShrinksBelowOneBucket) {
   LhSystem sys(ShrinkingOptions());
   LhClient* c = sys.NewClient();
-  for (uint64_t k = 0; k < 20; ++k) c->Insert(k, Val(k));
+  for (uint64_t k = 0; k < 20; ++k) c->Insert(k, test::NumberedValue(k));
   for (uint64_t k = 0; k < 20; ++k) ASSERT_TRUE(c->Delete(k).ok());
   EXPECT_GE(sys.bucket_count(), 1u);
   // The file still works.
-  c->Insert(99, Val(99));
+  c->Insert(99, test::NumberedValue(99));
   EXPECT_TRUE(c->Lookup(99).ok());
 }
 
@@ -255,7 +256,7 @@ TEST(LhShrinkTest, DisabledByDefault) {
   std::vector<uint64_t> keys;
   for (int i = 0; i < 500; ++i) {
     keys.push_back(rng.Next());
-    c->Insert(keys.back(), Val(keys.back()));
+    c->Insert(keys.back(), test::NumberedValue(keys.back()));
   }
   const size_t peak = sys.bucket_count();
   for (uint64_t k : keys) ASSERT_TRUE(c->Delete(k).ok());
@@ -269,7 +270,7 @@ TEST(LhShrinkTest, MergeTrafficIsAccounted) {
   std::vector<uint64_t> keys;
   for (int i = 0; i < 600; ++i) {
     keys.push_back(rng.Next());
-    c->Insert(keys.back(), Val(keys.back()));
+    c->Insert(keys.back(), test::NumberedValue(keys.back()));
   }
   sys.network().ResetStats();
   for (uint64_t k : keys) ASSERT_TRUE(c->Delete(k).ok());

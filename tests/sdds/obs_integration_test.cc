@@ -9,14 +9,13 @@
 #include "obs/trace.h"
 #include "sdds/event_network.h"
 #include "sdds/lh_system.h"
+#include "tests/util/numbered_value.h"
 #include "util/bytes.h"
 
 namespace essdds::sdds {
 namespace {
 
 using obs::HopKind;
-
-Bytes ValueFor(uint64_t key) { return ToBytes("v" + std::to_string(key)); }
 
 LhOptions EventOptions(uint64_t seed, double drop_prob) {
   LhOptions o;
@@ -36,7 +35,7 @@ TEST(ObsIntegrationTest, PerOpLatencyHistogramsPopulate) {
   const uint64_t filter = sys.InstallFilter(
       [](uint64_t, ByteSpan, ByteSpan) { return true; });
   LhClient* c = sys.NewClient();
-  for (uint64_t k = 0; k < 40; ++k) c->Insert(k, ValueFor(k));
+  for (uint64_t k = 0; k < 40; ++k) c->Insert(k, test::NumberedValue(k));
   for (uint64_t k = 0; k < 40; ++k) ASSERT_TRUE(c->Lookup(k).ok());
   ASSERT_TRUE(c->Delete(7).ok());
   const LhClient::ScanResult scan = c->Scan(filter, {});
@@ -78,7 +77,7 @@ TEST(ObsIntegrationTest, PerSiteSendCountersSumToNetworkTotals) {
   if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   LhSystem sys(EventOptions(/*seed=*/7, /*drop_prob=*/0.0));
   LhClient* c = sys.NewClient();
-  for (uint64_t k = 0; k < 60; ++k) c->Insert(k, ValueFor(k));
+  for (uint64_t k = 0; k < 60; ++k) c->Insert(k, test::NumberedValue(k));
   sys.network().PumpUntilIdle();
 
   obs::MetricRegistry& m = sys.network().metrics();
@@ -98,7 +97,7 @@ TEST(ObsIntegrationTest, PerBucketRecordGaugesTrackContents) {
   o.bucket_capacity = 64;  // no split: everything stays in bucket 0
   LhSystem sys(o);
   LhClient* c = sys.NewClient();
-  for (uint64_t k = 0; k < 5; ++k) c->Insert(k, ValueFor(k));
+  for (uint64_t k = 0; k < 5; ++k) c->Insert(k, test::NumberedValue(k));
   EXPECT_EQ(sys.network().metrics().gauge("bucket.0.records").value(), 5);
   ASSERT_TRUE(c->Delete(3).ok());
   EXPECT_EQ(sys.network().metrics().gauge("bucket.0.records").value(), 4);
@@ -114,7 +113,7 @@ TEST(ObsIntegrationTest, ScanBatchHistogramsRecordInDeferredMode) {
   const uint64_t filter = sys.InstallFilter(
       [](uint64_t, ByteSpan, ByteSpan) { return true; });
   LhClient* c = sys.NewClient();
-  for (uint64_t k = 0; k < 40; ++k) c->Insert(k, ValueFor(k));
+  for (uint64_t k = 0; k < 40; ++k) c->Insert(k, test::NumberedValue(k));
   const LhClient::ScanResult scan = c->Scan(filter, {});
   EXPECT_EQ(scan.hits.size(), 40u);
 
@@ -145,7 +144,7 @@ TEST(ObsIntegrationTest, FaultInjectionFattensLatencyTailAcrossFiftySeeds) {
       const uint64_t filter = sys.InstallFilter(
           [](uint64_t, ByteSpan, ByteSpan) { return true; });
       LhClient* c = sys.NewClient();
-      for (uint64_t k = 0; k < kOps; ++k) c->Insert(k, ValueFor(k));
+      for (uint64_t k = 0; k < kOps; ++k) c->Insert(k, test::NumberedValue(k));
       for (uint64_t k = 0; k < kOps; ++k) ASSERT_TRUE(c->Lookup(k).ok());
       const LhClient::ScanResult scan = c->Scan(filter, {});
       ASSERT_EQ(scan.hits.size(), kOps);
@@ -198,7 +197,7 @@ TEST(ObsIntegrationTest, ScriptedDropLeavesCompleteCausalTrace) {
   if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   LhSystem sys(EventOptions(/*seed=*/3, /*drop_prob=*/0.0));
   LhClient* c = sys.NewClient();
-  c->Insert(5, ValueFor(5));
+  c->Insert(5, test::NumberedValue(5));
   sys.network().PumpUntilIdle();
 
   // Deterministically lose the first lookup's reply: the client must time
@@ -256,7 +255,7 @@ TEST(ObsIntegrationTest, SplitTriggeredByInsertCarriesItsTraceId) {
   uint64_t k = 0;
   while (sys.network().metrics().counter("coord.splits").value() == 0) {
     ASSERT_LT(k, 100u) << "no split after 100 inserts";
-    c->Insert(k, ValueFor(k));
+    c->Insert(k, test::NumberedValue(k));
     ++k;
   }
   // Synchronous network: the whole overflow -> split -> move chain ran
@@ -289,7 +288,7 @@ TEST(ObsIntegrationTest, ResetStatsGivesPhaseLocalNumbers) {
   LhClient* c = sys.NewClient();
 
   // Phase 1: inserts only.
-  for (uint64_t k = 0; k < 20; ++k) c->Insert(k, ValueFor(k));
+  for (uint64_t k = 0; k < 20; ++k) c->Insert(k, test::NumberedValue(k));
   sys.network().PumpUntilIdle();
   ASSERT_EQ(sys.network().metrics().histogram("client.insert_us").count(),
             20u);
@@ -317,7 +316,7 @@ TEST(ObsIntegrationTest, ResetStatsGivesPhaseLocalNumbers) {
 TEST(ObsIntegrationTest, NetworkStatsToJsonCarriesAllCounters) {
   LhSystem sys;
   LhClient* c = sys.NewClient();
-  c->Insert(1, ValueFor(1));
+  c->Insert(1, test::NumberedValue(1));
   ASSERT_TRUE(c->Lookup(1).ok());
   const std::string json = sys.network().stats().ToJson();
   for (const char* needle :
@@ -333,7 +332,7 @@ TEST(ObsIntegrationTest, RegistryToJsonExportsClientHistograms) {
   if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   LhSystem sys;
   LhClient* c = sys.NewClient();
-  c->Insert(1, ValueFor(1));
+  c->Insert(1, test::NumberedValue(1));
   const std::string json = sys.network().metrics().ToJson();
   EXPECT_NE(json.find("\"client.insert_us\""), std::string::npos);
   EXPECT_NE(json.find("\"bucket.0.records\""), std::string::npos);

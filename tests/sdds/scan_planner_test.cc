@@ -87,13 +87,12 @@ ExtremeDistributions() {
   return out;
 }
 
-ScanTask MakeTask(const ColumnStore& columns, const ScanFilter& filter,
-                  Bytes arg) {
+ScanTask MakeTask(const ColumnStore& columns,
+                  const ScanFilter::Prepared* prepared) {
   ScanTask task;
   task.bucket = 0;
   task.columns = columns.slice();
-  task.filter = &filter;
-  task.arg = std::move(arg);
+  task.prepared = prepared;
   task.reply.type = MsgType::kScanReply;
   return task;
 }
@@ -125,13 +124,14 @@ TEST(ScanPlannerTest, ExtremeKeyDistributionsMatchSerial) {
   const auto distributions = ExtremeDistributions();
   const std::unique_ptr<ScanFilter> filter = SelectiveFilter();
   const Bytes arg = {uint8_t{1}};
+  const std::unique_ptr<ScanFilter::Prepared> prepared = filter->Prepare(arg);
   for (const auto& [name, records] : distributions) {
     ColumnStore columns;
     columns.Adopt(records);
     const std::vector<WireRecord> expected =
         PredicateWalk(records, *filter, arg);
     {
-      ScanTask task = MakeTask(columns, *filter, arg);
+      ScanTask task = MakeTask(columns, prepared.get());
       ExecuteScanTask(task);
       ExpectSameHits(task.reply.records, expected, name + " serial");
     }
@@ -142,7 +142,7 @@ TEST(ScanPlannerTest, ExtremeKeyDistributionsMatchSerial) {
                                   std::to_string(threads) + " shard_min=" +
                                   std::to_string(shard_min);
         std::vector<ScanTask> tasks;
-        tasks.push_back(MakeTask(columns, *filter, arg));
+        tasks.push_back(MakeTask(columns, prepared.get()));
         pool.Run(tasks, shard_min);
         ExpectSameHits(tasks[0].reply.records, expected, label);
       }
@@ -156,12 +156,13 @@ TEST(ScanPlannerTest, MatchAllKeepsEveryRecordExactlyOnce) {
   // double-covered range shows up immediately here.
   const auto distributions = ExtremeDistributions();
   const std::unique_ptr<ScanFilter> filter = SelectiveFilter();
+  const std::unique_ptr<ScanFilter::Prepared> prepared = filter->Prepare({});
   for (const auto& [name, records] : distributions) {
     ColumnStore columns;
     columns.Adopt(records);
     ScanWorkerPool pool(8);
     std::vector<ScanTask> tasks;
-    tasks.push_back(MakeTask(columns, *filter, {}));
+    tasks.push_back(MakeTask(columns, prepared.get()));
     pool.Run(tasks, 1);
     const auto& hits = tasks[0].reply.records;
     ASSERT_EQ(hits.size(), records.size()) << name;

@@ -2,9 +2,9 @@
 // start/run/destroy cycles, lazy start, never-started pools), determinism
 // (pool size 1 and every shard threshold bit-for-bit equal to serial
 // evaluation), oversubscription in both directions, empty batches, the
-// ESSDDS_THREADS=OFF serial-fallback guarantee, and the deferred-scan
-// snapshot contract under scripted pause/scan/split interleavings on the
-// event network.
+// ESSDDS_THREADS=OFF serial-fallback guarantee, one Prepare() per scan at
+// every pool size, and the queued-scan snapshot contract under scripted
+// pause/scan/split interleavings on the event network.
 
 #include <limits>
 #include <map>
@@ -48,24 +48,23 @@ std::unique_ptr<ScanFilter> SelectiveFilter() {
 }
 
 ScanTask MakeTask(uint64_t bucket, const ColumnStore& store,
-                  const ScanFilter& filter, Bytes arg) {
+                  const ScanFilter::Prepared* prepared) {
   ScanTask task;
   task.bucket = bucket;
   task.columns = store.slice();
-  task.filter = &filter;
-  task.arg = std::move(arg);
+  task.prepared = prepared;
   task.reply.type = MsgType::kScanReply;
   task.reply.key = bucket;
   return task;
 }
 
-/// Fresh tasks over `stores`, one per bucket, all with the same argument.
+/// Fresh tasks over `stores`, one per bucket, all of the same scan.
 std::vector<ScanTask> MakeBatch(const std::vector<ColumnStore>& stores,
-                                const ScanFilter& filter, const Bytes& arg) {
+                                const ScanFilter::Prepared* prepared) {
   std::vector<ScanTask> tasks;
   tasks.reserve(stores.size());
   for (size_t b = 0; b < stores.size(); ++b) {
-    tasks.push_back(MakeTask(b, stores[b], filter, arg));
+    tasks.push_back(MakeTask(b, stores[b], prepared));
   }
   return tasks;
 }
@@ -94,7 +93,8 @@ void ExpectPoolMatchesSerial(
     const std::vector<std::vector<WireRecord>>& expected) {
   std::vector<ColumnStore> stores(buckets.size());
   for (size_t b = 0; b < buckets.size(); ++b) stores[b].Adopt(buckets[b]);
-  std::vector<ScanTask> tasks = MakeBatch(stores, filter, arg);
+  const std::unique_ptr<ScanFilter::Prepared> prepared = filter.Prepare(arg);
+  std::vector<ScanTask> tasks = MakeBatch(stores, prepared.get());
   pool.Run(tasks, shard_min);
   ASSERT_EQ(tasks.size(), expected.size());
   for (size_t t = 0; t < tasks.size(); ++t) {
@@ -311,7 +311,55 @@ TEST(ScanPoolTest, OnePoolServesManyScansAndManySystemsCycle) {
   }
 }
 
-// --- the deferred-scan snapshot contract (dangling-pointer hazard) ---
+// --- one Prepare() per scan, whatever the pool size ---
+
+/// Match-all filter that counts its Prepare() calls.
+class CountingFilter final : public ScanFilter {
+ public:
+  explicit CountingFilter(int* prepares) : prepares_(prepares) {}
+
+  std::unique_ptr<Prepared> Prepare(ByteSpan arg) const override {
+    ++*prepares_;
+    return inner_->Prepare(arg);
+  }
+
+ private:
+  int* prepares_;
+  std::unique_ptr<ScanFilter> inner_ =
+      MakeScanFilter([](uint64_t, ByteSpan, ByteSpan) { return true; });
+};
+
+/// Scans a file of at least 8 buckets three times and checks that each
+/// scan compiled its argument exactly once, not once per bucket.
+void ExpectOnePreparePerScan(size_t scan_threads) {
+  LhSystem sys(LhOptions{.bucket_capacity = 8, .scan_threads = scan_threads});
+  int prepares = 0;
+  const uint64_t filter_id =
+      sys.InstallFilter(std::make_unique<CountingFilter>(&prepares));
+  LhClient* client = sys.NewClient();
+  Rng rng(31);
+  for (int i = 0; i < 200; ++i) {
+    const uint64_t k = rng.Next();
+    client->Insert(k, Val(k));
+  }
+  ASSERT_GE(sys.bucket_count(), 8u);
+  for (int scan = 1; scan <= 3; ++scan) {
+    const auto result = client->Scan(filter_id, ToBytes("arg"));
+    EXPECT_EQ(result.buckets_answered, sys.bucket_count()) << "scan " << scan;
+    EXPECT_EQ(result.hits.size(), 200u) << "scan " << scan;
+    EXPECT_EQ(prepares, scan) << "scan " << scan;
+  }
+}
+
+TEST(ScanPrepareTest, OncePerScanWithSerialBatches) {
+  ExpectOnePreparePerScan(0);
+}
+
+TEST(ScanPrepareTest, OncePerScanWithWorkerPool) {
+  ExpectOnePreparePerScan(4);
+}
+
+// --- the queued-scan snapshot contract (dangling-pointer hazard) ---
 
 TEST(ScanPoolDeathTest, StaleSnapshotAbortsInsteadOfReadingDanglingState) {
   // The backstop behind the resolve-before-mutation protocol: if a mutation
@@ -321,14 +369,15 @@ TEST(ScanPoolDeathTest, StaleSnapshotAbortsInsteadOfReadingDanglingState) {
   ColumnStore store;
   store.Adopt(BuildRecords(10, 99));
   auto filter = SelectiveFilter();
-  ScanTask task = MakeTask(0, store, *filter, {});
+  const std::unique_ptr<ScanFilter::Prepared> prepared = filter->Prepare({});
+  ScanTask task = MakeTask(0, store, prepared.get());
   uint64_t generation = 7;
   task.live_generation = &generation;
   task.enqueue_generation = 7;
   ExecuteScanTask(task);  // generations agree: fine
   EXPECT_TRUE(task.evaluated);
 
-  ScanTask stale = MakeTask(0, store, *filter, {});
+  ScanTask stale = MakeTask(0, store, prepared.get());
   stale.live_generation = &generation;
   stale.enqueue_generation = 7;
   generation = 8;  // the store "mutated" after enqueue
@@ -345,7 +394,7 @@ struct Collector final : Site {
 
 // A split delivered while a scan task is queued must not change what the
 // task returns: the bucket resolves the task against the pre-split content
-// (what serial inline evaluation saw at kScan delivery). Scripted as
+// (what it held at kScan delivery). Scripted as
 // pause(coordinator) / overflow / scan fan-out / resume / split / drain.
 TEST(ScanPoolTest, SplitArrivingWhileTaskQueuedKeepsPreSplitSnapshot) {
   LhOptions opt;
