@@ -28,8 +28,8 @@ int64_t ImpliedPosition(uint32_t family_offset, size_t chunk_index,
 /// index record is a candidate when any query series matches its stream;
 /// cross-site AND and cross-family combination happen at the client, which
 /// is the only party that can correlate sites. Prepare deserializes and
-/// compiles the wire query: at each bucket in serial scans, once per scan
-/// in thread-pool mode, where every bucket shares the one compiled form.
+/// compiles the wire query once per scan; every bucket's task shares the
+/// one compiled form.
 class MatchScanFilter : public sdds::ScanFilter {
  public:
   explicit MatchScanFilter(const IndexPipeline* pipeline)

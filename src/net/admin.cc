@@ -17,6 +17,9 @@ namespace essdds::net {
 
 namespace {
 
+// How long one admin pull waits for its reply.
+constexpr auto kAdminReplyTimeout = std::chrono::seconds(10);
+
 std::string_view TypeName(uint8_t t) {
   return sdds::MsgTypeToString(static_cast<sdds::MsgType>(t));
 }
@@ -466,7 +469,7 @@ Status AdminClient::Connect() {
   conns_.clear();
   conns_.reserve(options_.cluster.hosts.size());
   for (const Endpoint& ep : options_.cluster.hosts) {
-    auto fd = DialBlocking(ep, options_.connect_timeout_ms);
+    auto fd = DialBlocking(ep, kDialTimeoutMs);
     if (!fd.ok()) {
       conns_.clear();
       return Status::Unavailable("admin: cannot reach " + ep.ToString() +
@@ -484,8 +487,7 @@ Result<AdminReply> AdminClient::RoundTrip(size_t host, FrameKind kind,
   }
   Conn& conn = *conns_[host];
   conn.EnqueueFrame(EncodeFrame(kind, payload));
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(options_.reply_timeout_ms);
+  const auto deadline = std::chrono::steady_clock::now() + kAdminReplyTimeout;
   Poller poller;
   std::vector<PollEntry> entries(1);
   Frame frame;

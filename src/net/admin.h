@@ -159,8 +159,6 @@ class AdminClient {
  public:
   struct Options {
     ClusterMap cluster;
-    int connect_timeout_ms = 5000;
-    int reply_timeout_ms = 10000;
   };
 
   explicit AdminClient(Options options);

@@ -205,12 +205,7 @@ SiteId BucketHost::SiteOfBucket(uint64_t bucket) const {
   // same relation as LhSystem::SiteOfBucket. With a lagging extent this can
   // over-fold; the bucket it lands on knows at least its own children (see
   // the class comment) and re-forwards, strictly descending.
-  while (bucket >= known_extent_) {
-    ESSDDS_CHECK(bucket != 0) << "empty file";
-    uint64_t top = uint64_t{1} << 63;
-    while ((bucket & top) == 0) top >>= 1;
-    bucket &= ~top;
-  }
+  while (bucket >= known_extent_) bucket = sdds::ParentBucket(bucket);
   return net::SiteOfBucket(bucket);
 }
 

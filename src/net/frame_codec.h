@@ -58,8 +58,10 @@ inline constexpr size_t kFrameHeaderSize = 13;
 /// decoder buffer gigabytes.
 inline constexpr uint32_t kMaxFramePayload = 32u << 20;
 
-/// Transport protocol version carried in kHello.
-inline constexpr uint32_t kNetProtocolVersion = 1;
+/// Transport protocol version carried in kHello. 2: the presence-mask
+/// Message layout (DESIGN.md §Message); a peer on another layout fails its
+/// hello instead of sending undecodable frames.
+inline constexpr uint32_t kNetProtocolVersion = 2;
 
 struct Frame {
   FrameKind kind = FrameKind::kMessage;

@@ -44,7 +44,7 @@ Status SocketClient::Connect() {
   for (size_t h = 0; h < options_.cluster.hosts.size(); ++h) {
     ESSDDS_ASSIGN_OR_RETURN(
         const int fd,
-        DialBlocking(options_.cluster.hosts[h], options_.connect_timeout_ms));
+        DialBlocking(options_.cluster.hosts[h], kDialTimeoutMs));
     conns_[h] = std::make_unique<Conn>(fd);
     conns_[h]->EnqueueFrame(
         EncodeFrame(FrameKind::kHello, EncodeHello(core_.site())));

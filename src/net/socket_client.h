@@ -41,7 +41,6 @@ class SocketClient {
     /// hash_keys must match the servers; request_timeout_us /
     /// max_request_retries drive retransmission in real microseconds.
     sdds::LhOptions lh;
-    int connect_timeout_ms = 5000;
     /// Submit*() blocks (pumping I/O) once this many ops are in flight.
     size_t max_inflight = 1024;
   };

@@ -21,6 +21,10 @@ using sdds::SiteId;
 
 namespace {
 
+// Per-connection write-queue budget; connections over it are not polled
+// for reading until the queue drains.
+constexpr size_t kMaxConnQueuedBytes = 64u << 20;
+
 uint64_t MonotonicNs() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -315,7 +319,7 @@ bool SocketNetwork::RunOnce(int timeout_ms) {
     // Backpressure: a connection over its write budget is not read from —
     // its requests (and the replies they would generate) wait until the
     // peer drains what we already owe it.
-    e.want_read = c.conn->queued_bytes() < options_.max_conn_queued_bytes;
+    e.want_read = c.conn->queued_bytes() < kMaxConnQueuedBytes;
     e.want_write = c.conn->wants_write();
     entries.push_back(e);
     queued_total += c.conn->queued_bytes();

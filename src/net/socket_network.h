@@ -43,9 +43,6 @@ class SocketNetwork final : public sdds::Network {
   struct Options {
     ClusterMap cluster;
     size_t host_index = 0;
-    /// Per-connection write-queue budget; connections over it are not
-    /// polled for reading until the queue drains.
-    size_t max_conn_queued_bytes = 64u << 20;
   };
 
   explicit SocketNetwork(Options options);

@@ -29,6 +29,9 @@ Result<int> DialStart(const Endpoint& ep);
 /// ("connection refused") beats queueing into the void.
 Result<int> DialBlocking(const Endpoint& ep, int timeout_ms);
 
+/// Connect deadline of the blocking clients (SocketClient, AdminClient).
+inline constexpr int kDialTimeoutMs = 5000;
+
 /// One entry of a poll round.
 struct PollEntry {
   int fd = -1;

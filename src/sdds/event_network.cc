@@ -135,7 +135,7 @@ void EventNetwork::Send(Message msg) {
     }
   }
 
-  if (options_.protocol_faults && ProtocolReliable(msg.type)) {
+  if (options_.protocol_faults() && ProtocolReliable(msg.type)) {
     SendReliable(std::move(msg));
     return;
   }

@@ -17,12 +17,12 @@ namespace essdds::sdds {
 /// machinery recovers (idempotent retransmission, stale-reply discard),
 /// plus kDeadSite reports (re-sent on every further retry of the stuck
 /// request). Scans are always delivered; protocol-internal traffic is
-/// either always delivered (protocol_faults off) or carried by the
-/// reliable link layer (protocol_faults on — see ProtocolReliable).
+/// either always delivered (protocol_faults() false) or carried by the
+/// reliable link layer (protocol_faults() true — see ProtocolReliable).
 bool FaultEligible(MsgType type);
 
 /// True for the protocol-internal types the reliable link layer carries
-/// when EventNetworkOptions::protocol_faults is on: split/merge
+/// when EventNetworkOptions::protocol_faults() holds: split/merge
 /// restructuring, record transfers, parity updates, and the reconstruction
 /// control plane. Client traffic and scans are excluded (they have their
 /// own recovery: retries and quiesce barriers), as are kDeadSite (fire-
@@ -46,7 +46,7 @@ bool ProtocolReliable(MsgType type);
 /// Fault injection:
 ///  - drop_prob / duplicate_prob: per-send Bernoulli faults on
 ///    fault-eligible messages (see FaultEligible).
-///  - protocol_faults + protocol_drop_prob / protocol_duplicate_prob:
+///  - protocol_drop_prob / protocol_duplicate_prob (protocol_faults()):
 ///    protocol-internal frames (ProtocolReliable) ride a reliable link
 ///    layer — per-link sequence numbers, receiver acks, kAckTimeoutUs
 ///    retransmission — that delivers each frame exactly once and in link
@@ -212,7 +212,7 @@ class EventNetwork final : public Network {
   void PushEvent(Event ev);
   void ScheduleMessage(Message msg);
 
-  // --- reliable link layer (protocol_faults on) ---
+  // --- reliable link layer (protocol_faults()) ---
   void SendReliable(Message msg);
   /// One physical transmission attempt of unacked frame `seq` on (from,
   /// to): rolls the protocol drop/duplicate faults, then schedules the

@@ -1,5 +1,6 @@
 #include "sdds/lh_options.h"
 
+#include <bit>
 #include <utility>
 
 namespace essdds::sdds {
@@ -14,9 +15,7 @@ uint64_t LhKeyHash(uint64_t key) {
 
 uint64_t ParentBucket(uint64_t bucket) {
   ESSDDS_CHECK(bucket != 0) << "bucket 0 has no parent";
-  uint64_t top = uint64_t{1} << 63;
-  while ((bucket & top) == 0) top >>= 1;
-  return bucket & ~top;
+  return bucket & ~std::bit_floor(bucket);
 }
 
 namespace {

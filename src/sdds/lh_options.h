@@ -56,17 +56,21 @@ struct EventNetworkOptions {
   double drop_prob = 0.0;
   double duplicate_prob = 0.0;
 
-  /// Make protocol-internal traffic fault-eligible too. When set, the
-  /// restructuring and parity messages (splits, merges, transfers, parity
-  /// updates, reconstruction control) are carried over the network's
-  /// reliable link layer — per-link sequence numbers, receiver acks,
-  /// timeout-driven retransmission, exactly-once in-order delivery — and
-  /// protocol_drop_prob / protocol_duplicate_prob apply to each frame (and
-  /// its acks). Off (the default) keeps the legacy contract: protocol
-  /// frames are scheduled directly and never dropped.
-  bool protocol_faults = false;
+  /// Fault injection on protocol-internal traffic too. When either is
+  /// positive, the restructuring and parity messages (splits, merges,
+  /// transfers, parity updates, reconstruction control) are carried over
+  /// the network's reliable link layer — per-link sequence numbers,
+  /// receiver acks, timeout-driven retransmission, exactly-once in-order
+  /// delivery — and these probabilities apply to each frame (and its
+  /// acks). Both 0 (the default): protocol frames are scheduled directly
+  /// and never dropped.
   double protocol_drop_prob = 0.0;
   double protocol_duplicate_prob = 0.0;
+
+  /// True when protocol-internal traffic rides the reliable link layer.
+  bool protocol_faults() const {
+    return protocol_drop_prob > 0.0 || protocol_duplicate_prob > 0.0;
+  }
 
   friend bool operator==(const EventNetworkOptions&,
                          const EventNetworkOptions&) = default;

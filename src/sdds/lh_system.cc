@@ -76,14 +76,8 @@ uint64_t LhSystem::InstallFilter(
 SiteId LhSystem::SiteOfBucket(uint64_t bucket) const {
   // After a merge, stale client images can address buckets beyond the
   // current extent. The address table keeps forwarding stubs from dissolved
-  // buckets to their parents: clearing the top set bit is exactly the
-  // parent relation of linear hashing.
-  while (bucket >= servers_.size()) {
-    ESSDDS_CHECK(bucket != 0) << "empty file";
-    uint64_t top = uint64_t{1} << 63;
-    while ((bucket & top) == 0) top >>= 1;
-    bucket &= ~top;
-  }
+  // buckets to their parents.
+  while (bucket >= servers_.size()) bucket = ParentBucket(bucket);
   // A declared-dead bucket's address points at its recovery proxy until
   // the rebuild installs; retries, forwards, and parked-op replays all
   // resolve there.

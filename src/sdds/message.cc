@@ -1,6 +1,6 @@
 #include "sdds/message.h"
 
-#include <utility>
+#include <type_traits>
 
 #include "util/wire.h"
 
@@ -62,95 +62,114 @@ std::string_view MsgTypeToString(MsgType t) {
   return "Unknown";
 }
 
-size_t Message::AccountedBytes() const {
-  // Header: type(1) + from(4) + to(4) + request_id(8) + hops(1).
-  size_t n = 18;
-  switch (type) {
-    case MsgType::kInsert:
-      n += 8 + value.size();
-      break;
-    case MsgType::kLookup:
-    case MsgType::kDelete:
-      n += 8;
-      break;
-    case MsgType::kLookupReply:
-      n += 8 + 1 + value.size();
-      break;
-    case MsgType::kInsertAck:
-    case MsgType::kDeleteAck:
-      n += 8 + 1;
-      break;
-    case MsgType::kScan:
-      n += 8 + filter_arg.size() + 4;
-      break;
-    case MsgType::kScanReply:
-      for (const WireRecord& r : records) n += 8 + r.value.size();
-      break;
-    case MsgType::kOverflow:
-    case MsgType::kSplit:
-    case MsgType::kSplitDone:
-    case MsgType::kUnderflow:
-    case MsgType::kMerge:
-    case MsgType::kMergeDone:
-      n += 8 + 4;
-      break;
-    case MsgType::kTransfer:
-      // receiving bucket + sending bucket + new level, then the records.
-      n += 8 + 8 + 4;
-      for (const WireRecord& r : records) n += 8 + r.value.size();
-      break;
-    case MsgType::kTransferAck:
-      n += 8 + 8;
-      break;
-    case MsgType::kParityUpdate:
-    case MsgType::kReconstructSlice:
-      // member/slot + group + seq correlation + the rank entries.
-      n += 8 + 8 + 4 + filter_arg.size();
-      for (const WireRecord& r : records) n += 8 + 4 + r.value.size();
-      break;
-    case MsgType::kDeadSite:
-    case MsgType::kPing:
-    case MsgType::kPong:
-    case MsgType::kReconstructRequest:
-    case MsgType::kRebuild:
-    case MsgType::kRebuildDone:
-      n += 8 + 4;
-      break;
-    case MsgType::kRecoveryTick:
-      // A self-addressed virtual timer, scheduled off the accounting path;
-      // the size only matters if one is ever sent as a real message.
-      n += 8;
-      break;
+namespace {
+
+// The fields after the fixed header, in wire order: bit i of the presence
+// mask stands for the i-th field visited. This list is the whole layout;
+// writing, counting and reading all walk it.
+template <typename Fn>
+void ForEachOptionalField(Fn&& fn) {
+  fn(&Message::request_id);
+  fn(&Message::reply_to);
+  fn(&Message::hops);
+  fn(&Message::key);
+  fn(&Message::value);
+  fn(&Message::found);
+  fn(&Message::has_iam);
+  fn(&Message::iam_level);
+  fn(&Message::iam_address);
+  fn(&Message::filter_id);
+  fn(&Message::filter_arg);
+  fn(&Message::assumed_level);
+  fn(&Message::records);
+  fn(&Message::bucket_to_split);
+  fn(&Message::new_level);
+}
+
+// A field is present on the wire iff it differs from its value here.
+const Message kDefaults;
+
+// A WireWriter stand-in that only counts the bytes it is handed.
+struct SizeCounter {
+  void WriteU8(uint8_t) { size += 1; }
+  void WriteU16(uint16_t) { size += 2; }
+  void WriteU32(uint32_t) { size += 4; }
+  void WriteU64(uint64_t) { size += 8; }
+  void WriteLengthPrefixed(ByteSpan b) { size += 4 + b.size(); }
+  size_t size = 0;
+};
+
+template <typename Sink, typename T>
+void Put(Sink& s, const T& v) {
+  if constexpr (std::is_same_v<T, uint32_t>) {
+    s.WriteU32(v);
+  } else if constexpr (std::is_same_v<T, uint64_t>) {
+    s.WriteU64(v);
+  } else if constexpr (std::is_same_v<T, Bytes>) {
+    s.WriteLengthPrefixed(v);
+  } else if constexpr (std::is_same_v<T, std::vector<WireRecord>>) {
+    s.WriteU32(static_cast<uint32_t>(v.size()));
+    for (const WireRecord& r : v) {
+      s.WriteU64(r.key);
+      s.WriteLengthPrefixed(r.value);
+    }
+  }  // a bool is carried by its mask bit alone (Get rejects other types)
+}
+
+template <typename T>
+Status Get(WireReader& r, T& v) {
+  if constexpr (std::is_same_v<T, uint32_t>) {
+    ESSDDS_ASSIGN_OR_RETURN(v, r.ReadU32());
+  } else if constexpr (std::is_same_v<T, uint64_t>) {
+    ESSDDS_ASSIGN_OR_RETURN(v, r.ReadU64());
+  } else if constexpr (std::is_same_v<T, Bytes>) {
+    ESSDDS_ASSIGN_OR_RETURN(ByteSpan span, r.ReadLengthPrefixed());
+    v.assign(span.begin(), span.end());
+  } else if constexpr (std::is_same_v<T, std::vector<WireRecord>>) {
+    // Every record needs >= 12 bytes (key + value length prefix).
+    ESSDDS_ASSIGN_OR_RETURN(const uint32_t count, r.ReadCount(12));
+    v.resize(count);
+    for (WireRecord& rec : v) {
+      ESSDDS_ASSIGN_OR_RETURN(rec.key, r.ReadU64());
+      ESSDDS_RETURN_IF_ERROR(Get(r, rec.value));
+    }
+  } else {
+    static_assert(std::is_same_v<T, bool>);
+    v = true;  // a bool is present only when set
   }
-  if (has_iam) n += 12;
-  return n;
+  return Status::OK();
+}
+
+template <typename Sink>
+void WriteMessage(const Message& m, Sink& s) {
+  uint16_t mask = 0;
+  int bit = 0;
+  ForEachOptionalField([&](auto field) {
+    mask |= static_cast<uint16_t>((m.*field != kDefaults.*field) << bit++);
+  });
+  s.WriteU8(static_cast<uint8_t>(m.type));
+  s.WriteU16(mask);
+  s.WriteU32(m.from);
+  s.WriteU32(m.to);
+  s.WriteU64(m.trace_id);
+  bit = 0;
+  ForEachOptionalField([&](auto field) {
+    if ((mask >> bit++) & 1) Put(s, m.*field);
+  });
+}
+
+}  // namespace
+
+size_t Message::EncodedSize() const {
+  SizeCounter counter;
+  WriteMessage(*this, counter);
+  return counter.size;
 }
 
 Bytes Message::Encode() const {
   WireWriter w;
-  w.WriteU8(static_cast<uint8_t>(type));
-  w.WriteU32(from);
-  w.WriteU32(to);
-  w.WriteU64(request_id);
-  w.WriteU32(reply_to);
-  w.WriteU32(hops);
-  w.WriteU64(key);
-  w.WriteLengthPrefixed(value);
-  w.WriteBool(found);
-  w.WriteBool(has_iam);
-  w.WriteU32(iam_level);
-  w.WriteU64(iam_address);
-  w.WriteU64(filter_id);
-  w.WriteLengthPrefixed(filter_arg);
-  w.WriteU32(assumed_level);
-  w.WriteU32(static_cast<uint32_t>(records.size()));
-  for (const WireRecord& r : records) {
-    w.WriteU64(r.key);
-    w.WriteLengthPrefixed(r.value);
-  }
-  w.WriteU64(bucket_to_split);
-  w.WriteU32(new_level);
-  w.WriteU64(trace_id);
+  w.Reserve(EncodedSize());
+  WriteMessage(*this, w);
   return w.TakeBuffer();
 }
 
@@ -162,39 +181,24 @@ Result<Message> Message::Decode(ByteSpan data) {
     return Status::Corruption("message type out of range");
   }
   m.type = static_cast<MsgType>(type_byte);
+  ESSDDS_ASSIGN_OR_RETURN(const uint16_t mask, r.ReadU16());
   ESSDDS_ASSIGN_OR_RETURN(m.from, r.ReadU32());
   ESSDDS_ASSIGN_OR_RETURN(m.to, r.ReadU32());
-  ESSDDS_ASSIGN_OR_RETURN(m.request_id, r.ReadU64());
-  ESSDDS_ASSIGN_OR_RETURN(m.reply_to, r.ReadU32());
-  ESSDDS_ASSIGN_OR_RETURN(m.hops, r.ReadU32());
-  ESSDDS_ASSIGN_OR_RETURN(m.key, r.ReadU64());
-  ESSDDS_ASSIGN_OR_RETURN(ByteSpan value, r.ReadLengthPrefixed());
-  m.value.assign(value.begin(), value.end());
-  ESSDDS_ASSIGN_OR_RETURN(m.found, r.ReadBool());
-  ESSDDS_ASSIGN_OR_RETURN(m.has_iam, r.ReadBool());
-  ESSDDS_ASSIGN_OR_RETURN(m.iam_level, r.ReadU32());
-  ESSDDS_ASSIGN_OR_RETURN(m.iam_address, r.ReadU64());
-  ESSDDS_ASSIGN_OR_RETURN(m.filter_id, r.ReadU64());
-  ESSDDS_ASSIGN_OR_RETURN(ByteSpan filter_arg, r.ReadLengthPrefixed());
-  m.filter_arg.assign(filter_arg.begin(), filter_arg.end());
-  ESSDDS_ASSIGN_OR_RETURN(m.assumed_level, r.ReadU32());
-  // Every record needs >= 12 bytes (key + value length prefix).
-  ESSDDS_ASSIGN_OR_RETURN(const uint32_t num_records, r.ReadCount(12));
-  m.records.reserve(num_records);
-  for (uint32_t i = 0; i < num_records; ++i) {
-    WireRecord rec;
-    ESSDDS_ASSIGN_OR_RETURN(rec.key, r.ReadU64());
-    ESSDDS_ASSIGN_OR_RETURN(ByteSpan rec_value, r.ReadLengthPrefixed());
-    rec.value.assign(rec_value.begin(), rec_value.end());
-    m.records.push_back(std::move(rec));
-  }
-  ESSDDS_ASSIGN_OR_RETURN(m.bucket_to_split, r.ReadU64());
-  ESSDDS_ASSIGN_OR_RETURN(m.new_level, r.ReadU32());
-  // Compatible extension: the trace id trails the legacy layout. An
-  // encoding that ends here is the pre-observability format (trace_id 0);
-  // anything else must be exactly the 8-byte id.
-  if (r.remaining() > 0) {
-    ESSDDS_ASSIGN_OR_RETURN(m.trace_id, r.ReadU64());
+  ESSDDS_ASSIGN_OR_RETURN(m.trace_id, r.ReadU64());
+  Status status;
+  int bit = 0;
+  ForEachOptionalField([&](auto field) {
+    if (status.ok() && ((mask >> bit++) & 1)) {
+      status = Get(r, m.*field);
+      // One encoding per message: a present field holds a non-default value.
+      if (status.ok() && m.*field == kDefaults.*field) {
+        status = Status::Corruption("message: present field has its default");
+      }
+    }
+  });
+  ESSDDS_RETURN_IF_ERROR(status);
+  if ((mask >> bit) != 0) {  // bit now counts the fields
+    return Status::Corruption("message: unknown presence bits");
   }
   ESSDDS_RETURN_IF_ERROR(r.ExpectEnd());
   return m;

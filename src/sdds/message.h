@@ -91,10 +91,12 @@ struct FileImage {
   friend bool operator==(const FileImage&, const FileImage&) = default;
 };
 
-/// One simulated network message. Payload fields are a union-of-purposes:
-/// only the fields relevant to `type` are meaningful. AccountedBytes() below
-/// charges each message as if the active fields were serialized, so message
-/// and byte counters behave like a real deployment's.
+/// One network message. Payload fields are a union-of-purposes: only the
+/// fields relevant to `type` are meaningful, and the wire carries exactly
+/// the ones that differ from their defaults. Encode() is the only
+/// description of the wire layout: the simulators charge EncodedSize(), the
+/// socket tier frames Encode(), so byte counters describe the bytes a
+/// deployment sends.
 struct Message {
   MsgType type = MsgType::kInsert;
   SiteId from = kInvalidSite;
@@ -107,8 +109,7 @@ struct Message {
   /// restructuring an op triggers (overflow -> split -> transfer), so one
   /// op's full causal path can be reassembled from the trace ring. 0 = untraced
   /// (metrics compiled out, or protocol background with no triggering op).
-  /// Not charged by AccountedBytes: a production deployment would ship it
-  /// only in a diagnostic header, and message/byte counters must stay
+  /// Always 8 bytes of the fixed header, so message/byte counters stay
   /// byte-identical between metrics-ON and -OFF builds.
   uint64_t trace_id = 0;
   /// Final reply destination: preserved across server-to-server forwards so
@@ -141,18 +142,19 @@ struct Message {
   uint64_t bucket_to_split = 0;
   uint32_t new_level = 0;
 
-  /// Simulated serialized size in bytes (header + active payload).
-  /// Cheaper than Encode().size(): counts only the fields `type` activates,
-  /// mirroring what a production encoder would ship.
-  size_t AccountedBytes() const;
-
-  /// Real wire encoding (uniform layout: every field serialized). Decode is
-  /// the bounds-checked inverse; malformed bytes yield Status::Corruption,
-  /// never an exception or unbounded allocation. The encoding was extended
-  /// compatibly with a trailing trace_id: Decode accepts the legacy layout
-  /// (nothing after new_level, trace_id = 0) as well as the current one.
+  /// Wire encoding: a fixed header (u8 type, u16 presence mask, u32 from,
+  /// u32 to, u64 trace_id), then each remaining field in declaration order,
+  /// only when it differs from its default (its mask bit is set; a bool is
+  /// carried by its bit alone). Decode is the bounds-checked inverse:
+  /// Decode(Encode(m)) == m for every message, and malformed or
+  /// non-canonical bytes yield Status::Corruption, never an exception or
+  /// unbounded allocation.
   Bytes Encode() const;
   static Result<Message> Decode(ByteSpan data);
+
+  /// Encode().size(), counted without building the bytes: what every
+  /// network charges per send.
+  size_t EncodedSize() const;
 
   friend bool operator==(const Message&, const Message&) = default;
 };

@@ -34,7 +34,9 @@ class Site {
 
 /// Per-network traffic statistics. The paper's performance story for SDDS
 /// is counted in messages, not wall-clock time; this is what the simulator
-/// measures.
+/// measures. `total_bytes` sums Message::EncodedSize() per send: the
+/// message bytes the socket tier frames (without its frame header), so
+/// simulated and socket counters describe one wire.
 ///
 /// Accounting under fault injection: `total_messages`/`total_bytes`/
 /// `per_type` count every protocol send exactly once — a message the
@@ -52,7 +54,7 @@ struct NetworkStats {
   uint64_t dropped_messages = 0;     // sends the network discarded (faults)
   uint64_t duplicated_messages = 0;  // extra fault copies (not in totals)
   uint64_t retried_messages = 0;     // client retransmissions (in totals)
-  // Reliable link layer (EventNetwork protocol_faults): frame resends and
+  // Reliable link layer (EventNetwork protocol_faults()): frame resends and
   // receiver acks. Neither is in the totals — a production transport hides
   // both below the messaging API, and totals must stay comparable to a
   // fault-free run.
@@ -222,7 +224,7 @@ class Network {
   /// Charges one protocol send to the counters (every implementation calls
   /// this exactly once per Send, before any fault decision).
   void Account(const Message& msg) {
-    const uint64_t bytes = msg.AccountedBytes();
+    const uint64_t bytes = msg.EncodedSize();
     stats_.total_messages++;
     stats_.total_bytes += bytes;
     stats_.per_type[msg.type]++;

@@ -9,6 +9,12 @@ Result<uint8_t> WireReader::ReadU8() {
   return data_[pos_++];
 }
 
+Result<uint16_t> WireReader::ReadU16() {
+  if (remaining() < 2) return Status::Corruption("wire: truncated u16");
+  pos_ += 2;
+  return static_cast<uint16_t>(data_[pos_ - 2] << 8 | data_[pos_ - 1]);
+}
+
 Result<uint32_t> WireReader::ReadU32() {
   if (remaining() < 4) return Status::Corruption("wire: truncated u32");
   const uint32_t v = LoadBigEndian32(data_.data() + pos_);
@@ -59,6 +65,11 @@ Status WireReader::ExpectEnd() const {
 }
 
 void WireWriter::WriteU8(uint8_t v) { out_.push_back(v); }
+
+void WireWriter::WriteU16(uint16_t v) {
+  out_.push_back(static_cast<uint8_t>(v >> 8));
+  out_.push_back(static_cast<uint8_t>(v));
+}
 
 void WireWriter::WriteU32(uint32_t v) { AppendBigEndian32(v, out_); }
 

@@ -26,6 +26,7 @@ class WireReader {
   bool AtEnd() const { return pos_ == data_.size(); }
 
   Result<uint8_t> ReadU8();
+  Result<uint16_t> ReadU16();
   Result<uint32_t> ReadU32();
   Result<uint64_t> ReadU64();
   /// One byte that must be exactly 0 or 1 (a lax bool lets corrupt bytes
@@ -73,12 +74,17 @@ class WireWriter {
   WireWriter() = default;
 
   void WriteU8(uint8_t v);
+  void WriteU16(uint16_t v);
   void WriteU32(uint32_t v);
   void WriteU64(uint64_t v);
   void WriteBool(bool v) { WriteU8(v ? 1 : 0); }
   void WriteBytes(ByteSpan b);
   /// u32 byte length followed by the bytes themselves.
   void WriteLengthPrefixed(ByteSpan b);
+
+  /// Pre-allocates room for `n` bytes in total (an exactly sized encoder
+  /// then appends without reallocating).
+  void Reserve(size_t n) { out_.reserve(n); }
 
   size_t size() const { return out_.size(); }
   const Bytes& buffer() const { return out_; }

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "tests/util/fuzz_util.h"
+#include "util/random.h"
 
 namespace essdds::sdds {
 namespace {
@@ -67,70 +68,131 @@ TEST(MessageWireTest, RejectsTrailingGarbage) {
   EXPECT_TRUE(Message::Decode(wire).status().IsCorruption());
 }
 
-TEST(MessageWireTest, LegacyEncodingWithoutTraceIdDecodes) {
-  // The trace id was appended to the wire layout as a compatible
-  // extension: an encoding that stops after new_level (the
-  // pre-observability format) must still decode, with trace_id = 0.
-  Message m = SampleScanReply();
-  Bytes wire = m.Encode();
-  wire.resize(wire.size() - 8);  // strip the trailing trace id
-  auto decoded = Message::Decode(wire);
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  Message expect = m;
-  expect.trace_id = 0;
-  EXPECT_EQ(*decoded, expect);
+TEST(MessageWireTest, DefaultMessageIsTheFixedHeader) {
+  // u8 type + u16 presence mask + u32 from + u32 to + u64 trace_id.
+  Message m;
+  EXPECT_EQ(m.Encode().size(), 19u);
+  EXPECT_EQ(m.EncodedSize(), 19u);
+  // The trace id is always in the header: a traced message costs what an
+  // untraced one does, so metrics-ON and -OFF builds count the same bytes.
+  m.trace_id = 0xFEEDull;
+  EXPECT_EQ(m.EncodedSize(), 19u);
 }
 
 TEST(MessageWireTest, RejectsImplausibleRecordCountWithoutAllocating) {
-  // A minimal valid message, then force the record count to 0xFFFFFFFF:
-  // decode must fail closed instead of reserving 4 billion records.
+  // A message whose only optional field is one record, then force the
+  // record count to 0xFFFFFFFF: decode must fail closed instead of
+  // reserving 4 billion records. The count directly follows the header.
   Message m;
+  m.records.push_back({1, {}});
   Bytes wire = m.Encode();
-  // Record count sits 24 bytes before the end (count + bucket_to_split +
-  // new_level + trace_id trailer).
-  const size_t count_at = wire.size() - 24;
+  const size_t count_at = Message().Encode().size();
+  ASSERT_EQ(wire.size(), count_at + 4 + 8 + 4);
   wire[count_at] = wire[count_at + 1] = wire[count_at + 2] =
       wire[count_at + 3] = 0xFF;
   EXPECT_TRUE(Message::Decode(wire).status().IsCorruption());
 }
 
-TEST(MessageFuzzTest, SurvivesRandomBytes) {
-  test::RandomBytesTrials(21, 2000, 200, [](ByteSpan junk) {
-    auto m = Message::Decode(junk);  // must not crash
-    if (m.ok()) {
-      EXPECT_LE(m->type, MsgType::kMergeDone);
+TEST(MessageWireTest, RejectsUnknownPresenceBits) {
+  Bytes wire = Message().Encode();
+  wire[1] = 0x80;  // high byte of the mask; bit 15 names no field
+  EXPECT_TRUE(Message::Decode(wire).status().IsCorruption());
+}
+
+TEST(MessageWireTest, RejectsPresentFieldHoldingItsDefault) {
+  // hops is the only optional field present; zeroing its value leaves a
+  // second encoding of the default message, which Decode refuses.
+  Message m;
+  m.hops = 1;
+  Bytes wire = m.Encode();
+  ASSERT_EQ(wire.size(), Message().Encode().size() + 4);
+  wire.back() = 0;
+  EXPECT_TRUE(Message::Decode(wire).status().IsCorruption());
+}
+
+Bytes RandomBytes(Rng& rng) {
+  Bytes b(rng.Uniform(40));
+  for (auto& x : b) x = static_cast<uint8_t>(rng.Next());
+  return b;
+}
+
+// A message of type `type` with a random subset of its fields set to
+// random values (a set field may still land on its default).
+Message RandomMessage(Rng& rng, MsgType type) {
+  Message m;
+  m.type = type;
+  auto maybe = [&] { return rng.Bernoulli(0.5); };
+  if (maybe()) m.from = static_cast<SiteId>(rng.Next());
+  if (maybe()) m.to = static_cast<SiteId>(rng.Next());
+  if (maybe()) m.trace_id = rng.Next();
+  if (maybe()) m.request_id = rng.Next();
+  if (maybe()) m.reply_to = static_cast<SiteId>(rng.Uniform(4));
+  if (maybe()) m.hops = static_cast<uint32_t>(rng.Uniform(3));
+  if (maybe()) m.key = rng.Next();
+  if (maybe()) m.value = RandomBytes(rng);
+  if (maybe()) m.found = maybe();
+  if (maybe()) m.has_iam = maybe();
+  if (maybe()) m.iam_level = static_cast<uint32_t>(rng.Next());
+  if (maybe()) m.iam_address = rng.Next();
+  if (maybe()) m.filter_id = rng.Uniform(3);
+  if (maybe()) m.filter_arg = RandomBytes(rng);
+  if (maybe()) m.assumed_level = static_cast<uint32_t>(rng.Uniform(40));
+  if (maybe()) {
+    const size_t n = rng.Uniform(4);
+    for (size_t i = 0; i < n; ++i) {
+      m.records.push_back({rng.Next(), RandomBytes(rng)});
     }
-  });
+  }
+  if (maybe()) m.bucket_to_split = rng.Uniform(1000);
+  if (maybe()) m.new_level = static_cast<uint32_t>(rng.Uniform(40));
+  return m;
+}
+
+TEST(MessageWireTest, RandomFieldSubsetsRoundTripAtTheirEncodedSize) {
+  Rng rng(23);
+  for (uint8_t t = 0; t <= static_cast<uint8_t>(MsgType::kRecoveryTick); ++t) {
+    for (int trial = 0; trial < 40; ++trial) {
+      const Message m = RandomMessage(rng, static_cast<MsgType>(t));
+      const Bytes wire = m.Encode();
+      ASSERT_EQ(m.EncodedSize(), wire.size())
+          << MsgTypeToString(m.type) << " trial " << trial;
+      auto decoded = Message::Decode(wire);
+      ASSERT_TRUE(decoded.ok()) << decoded.status();
+      EXPECT_EQ(*decoded, m) << MsgTypeToString(m.type) << " trial " << trial;
+      test::TruncationSweep(wire, [&](ByteSpan prefix, size_t len) {
+        EXPECT_FALSE(Message::Decode(prefix).ok())
+            << MsgTypeToString(m.type) << " prefix " << len << " parsed";
+      });
+    }
+  }
+}
+
+// Anything Decode accepts is a canonical encoding: re-encoding the message
+// gives back the very bytes, and the type is in range.
+void ExpectCanonical(ByteSpan wire) {
+  auto m = Message::Decode(wire);  // must not crash or over-allocate
+  if (!m.ok()) return;
+  EXPECT_LE(m->type, MsgType::kRecoveryTick);
+  EXPECT_EQ(m->Encode(), Bytes(wire.begin(), wire.end()));
+}
+
+TEST(MessageFuzzTest, SurvivesRandomBytes) {
+  test::RandomBytesTrials(21, 2000, 200,
+                          [](ByteSpan junk) { ExpectCanonical(junk); });
 }
 
 TEST(MessageFuzzTest, SurvivesTruncation) {
-  const Message sample = SampleScanReply();
-  const Bytes wire = sample.Encode();
-  // Exactly one proper prefix is a valid message: cutting the trailing
-  // 8-byte trace id leaves the legacy layout, which decodes with
-  // trace_id = 0. Every other truncation must fail closed.
-  const size_t legacy_len = wire.size() - 8;
-  test::TruncationSweep(wire, [&](ByteSpan prefix, size_t len) {
-    auto m = Message::Decode(prefix);
-    if (len == legacy_len) {
-      ASSERT_TRUE(m.ok()) << "legacy layout stopped decoding";
-      Message expect = sample;
-      expect.trace_id = 0;
-      EXPECT_EQ(*m, expect);
-    } else {
-      EXPECT_FALSE(m.ok()) << "truncation at " << len << " parsed";
-    }
-  });
+  test::TruncationSweep(SampleScanReply().Encode(),
+                        [](ByteSpan prefix, size_t len) {
+                          EXPECT_FALSE(Message::Decode(prefix).ok())
+                              << "truncation at " << len << " parsed";
+                        });
 }
 
 TEST(MessageFuzzTest, SurvivesSingleByteMutations) {
   const Bytes wire = SampleScanReply().Encode();
-  test::SingleByteMutations(22, wire, [](ByteSpan mutated, size_t) {
-    auto m = Message::Decode(mutated);  // must not crash or over-allocate
-    if (m.ok()) {
-      EXPECT_LE(m->type, MsgType::kMergeDone);
-    }
-  });
+  test::SingleByteMutations(
+      22, wire, [](ByteSpan mutated, size_t) { ExpectCanonical(mutated); });
 }
 
 }  // namespace

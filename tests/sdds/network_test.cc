@@ -82,32 +82,35 @@ TEST(MessageTest, EveryTypeHasAName) {
   }
 }
 
-TEST(MessageTest, AccountedBytesScaleWithPayload) {
+TEST(MessageTest, EncodedSizeScalesWithPayload) {
   Message small;
   small.type = MsgType::kInsert;
   small.value = Bytes(10, 'a');
   Message large = small;
   large.value = Bytes(1000, 'a');
-  EXPECT_EQ(large.AccountedBytes() - small.AccountedBytes(), 990u);
+  EXPECT_EQ(large.EncodedSize() - small.EncodedSize(), 990u);
 
   Message scan;
   scan.type = MsgType::kScan;
   scan.filter_arg = Bytes(64, 'q');
-  EXPECT_GT(scan.AccountedBytes(), 64u);
+  EXPECT_GT(scan.EncodedSize(), 64u);
 
   Message reply;
   reply.type = MsgType::kScanReply;
   reply.records.push_back(WireRecord{1, Bytes(50, 'r')});
   reply.records.push_back(WireRecord{2, Bytes(50, 'r')});
-  EXPECT_GE(reply.AccountedBytes(), 116u);  // 2*(8+50) + header
+  EXPECT_GE(reply.EncodedSize(), 116u);  // 2*(8+50) + header
 }
 
 TEST(MessageTest, IamCostsExtraBytes) {
   Message m;
   m.type = MsgType::kLookupReply;
-  const size_t without = m.AccountedBytes();
+  const size_t without = m.EncodedSize();
   m.has_iam = true;
-  EXPECT_GT(m.AccountedBytes(), without);
+  m.iam_level = 3;
+  m.iam_address = 5;
+  // u32 level + u64 address; the flag rides in the presence mask.
+  EXPECT_EQ(m.EncodedSize(), without + 12);
 }
 
 TEST(FileImageTest, BucketCountAndAssumedLevels) {

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sdds/event_network.h"
@@ -244,6 +245,73 @@ TEST(ObsIntegrationTest, ScriptedDropLeavesCompleteCausalTrace) {
         << "dump lacks \"" << needle << "\":\n"
         << dump;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Slow-op log lines
+
+// Routes structured log lines into a string, unthrottled, for one scope.
+class LogCapture {
+ public:
+  LogCapture() {
+    obs::EventLog::Global().set_capture(&lines_);
+    obs::EventLog::Global().set_rate_limit_per_sec(0);
+  }
+  ~LogCapture() {
+    obs::EventLog::Global().set_capture(nullptr);
+    obs::EventLog::Global().set_rate_limit_per_sec(20);
+  }
+  std::string& lines() { return lines_; }
+
+ private:
+  std::string lines_;
+};
+
+size_t CountOccurrences(const std::string& haystack, const std::string& s) {
+  size_t n = 0;
+  for (size_t at = haystack.find(s); at != std::string::npos;
+       at = haystack.find(s, at + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+// Every link takes exactly 1000 virtual us, so each round trip takes 2000.
+LhOptions FixedLatencyOptions(uint64_t slow_op_us) {
+  LhOptions o = EventOptions(/*seed=*/5, /*drop_prob=*/0.0);
+  o.event_net.min_latency_us = o.event_net.max_latency_us = 1000;
+  o.slow_op_us = slow_op_us;
+  return o;
+}
+
+TEST(ObsIntegrationTest, SlowOpEmitsOneLineCarryingItsTraceId) {
+  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
+  LhSystem sys(FixedLatencyOptions(/*slow_op_us=*/1500));
+  LhClient* c = sys.NewClient();
+  LogCapture capture;
+  c->Insert(5, test::NumberedValue(5));
+  sys.network().PumpUntilIdle();
+  capture.lines().clear();
+
+  ASSERT_TRUE(c->Lookup(5).ok());
+  const uint64_t id = c->last_trace_id();
+  ASSERT_NE(id, 0u);
+  const std::string& log = capture.lines();
+  EXPECT_EQ(CountOccurrences(log, "\"event\":\"slow_op\""), 1u) << log;
+  EXPECT_EQ(CountOccurrences(log, "\"op\":\"Lookup\""), 1u) << log;
+  EXPECT_EQ(CountOccurrences(log, "\"trace_id\":" + std::to_string(id)), 1u)
+      << log;
+}
+
+TEST(ObsIntegrationTest, SlowOpThresholdZeroEmitsNothing) {
+  LhSystem sys(FixedLatencyOptions(/*slow_op_us=*/0));
+  LhClient* c = sys.NewClient();
+  LogCapture capture;
+  c->Insert(5, test::NumberedValue(5));
+  ASSERT_TRUE(c->Lookup(5).ok());
+  sys.network().PumpUntilIdle();
+  EXPECT_EQ(CountOccurrences(capture.lines(), "slow_op"), 0u)
+      << capture.lines();
 }
 
 TEST(ObsIntegrationTest, SplitTriggeredByInsertCarriesItsTraceId) {

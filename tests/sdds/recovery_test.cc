@@ -833,7 +833,6 @@ struct SweepDigest {
 
 SweepDigest RunKillSweep(uint64_t seed, size_t m) {
   LhOptions o = RecoveryOptions(seed, /*k=*/4, m);
-  o.event_net.protocol_faults = true;
   o.event_net.protocol_drop_prob = 0.05;
   o.event_net.protocol_duplicate_prob = 0.05;
   LhSystem sys(o);

@@ -13,6 +13,7 @@ namespace {
 TEST(WireWriterTest, RoundTripsEveryPrimitive) {
   WireWriter w;
   w.WriteU8(0xAB);
+  w.WriteU16(0xC0DE);
   w.WriteU32(0xDEADBEEF);
   w.WriteU64(0x0123456789ABCDEFull);
   w.WriteBool(true);
@@ -20,10 +21,11 @@ TEST(WireWriterTest, RoundTripsEveryPrimitive) {
   w.WriteLengthPrefixed(ToBytes("payload"));
   w.WriteBytes(ToBytes("raw"));
   const Bytes wire = w.buffer();
-  EXPECT_EQ(wire.size(), 1u + 4 + 8 + 1 + 1 + 4 + 7 + 3);
+  EXPECT_EQ(wire.size(), 1u + 2 + 4 + 8 + 1 + 1 + 4 + 7 + 3);
 
   WireReader r(wire);
   EXPECT_EQ(*r.ReadU8(), 0xAB);
+  EXPECT_EQ(*r.ReadU16(), 0xC0DE);
   EXPECT_EQ(*r.ReadU32(), 0xDEADBEEFu);
   EXPECT_EQ(*r.ReadU64(), 0x0123456789ABCDEFull);
   EXPECT_TRUE(*r.ReadBool());
@@ -50,6 +52,11 @@ TEST(WireWriterTest, TakeBufferResetsWriter) {
 
 TEST(WireReaderTest, EveryReadPastTheEndIsCorruption) {
   const Bytes three = {1, 2, 3};
+  {
+    const Bytes one = {1};
+    WireReader r(one);
+    EXPECT_TRUE(r.ReadU16().status().IsCorruption());
+  }
   {
     WireReader r(three);
     EXPECT_TRUE(r.ReadU32().status().IsCorruption());
