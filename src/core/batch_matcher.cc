@@ -37,7 +37,12 @@ BatchMatcher::Program BatchMatcher::CompileProgram(
   for (const QuerySeries& s : list) {
     const std::vector<uint64_t>& values = q.PatternFor(s, site);
     if (values.empty()) continue;  // empty patterns never match
-    prog.patterns.push_back(Pattern{s.alignment, values});
+    Pattern pattern{s.alignment, values, {}};
+    if (std::all_of(values.begin(), values.end(),
+                    [](uint64_t v) { return v < 256; })) {
+      pattern.bytes.assign(values.begin(), values.end());
+    }
+    prog.patterns.push_back(std::move(pattern));
     prog.min_len = std::min(prog.min_len, values.size());
   }
   // Pack pattern prefixes greedily into Shift-And groups: first-fit in

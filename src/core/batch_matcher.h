@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/pipeline.h"
+#include "util/bitstream.h"
 #include "util/bytes.h"
 #include "util/logging.h"
 
@@ -21,13 +22,20 @@ namespace essdds::core {
 /// `FindOccurrences` (core/matcher.h) is the naive reference it must agree
 /// with.
 ///
+/// Streams come in two forms with one group loop between them: decoded
+/// (`std::span<const uint64_t>`) or stored (`PackedValues`, the index
+/// record's payload read in place by IndexPipeline::StreamView, nothing
+/// decoded). A stored stream of 8-bit values is read as its bytes directly;
+/// other widths read each value with a word-at-a-time load.
+///
 /// Construction: the first min(len, 64) values of every non-empty pattern
 /// are concatenated into as few 64-bit Shift-And groups as first-fit
 /// packing allows, so a pattern longer than 64 values takes a whole group.
 /// A group tracks one state word over a byte-reduced alphabet
 /// (`value & 0xFF`), which makes it a superset recognizer: a fired final
-/// bit is only a candidate, confirmed by one bounds-checked memcmp of the
-/// *full* pattern against the stream before it is reported.
+/// bit is only a candidate, confirmed by one bounds-checked compare of the
+/// *full* pattern against the stream before it is reported. Over 8-bit
+/// streams the alphabet is exact and the compare is a memcmp of bytes.
 ///
 /// Semantics: empty patterns never match, out-of-range families and sites
 /// never match, and ForEachOccurrence reports every occurrence of every
@@ -35,7 +43,7 @@ namespace essdds::core {
 /// position-confirmation consumer intersects sets and never depends on it).
 ///
 /// The matcher borrows the query: `query` must outlive it (patterns
-/// reference its chunk/piece buffers; nothing is copied).
+/// reference its chunk/piece buffers).
 class BatchMatcher {
  public:
   explicit BatchMatcher(const SearchQuery* query);
@@ -53,11 +61,12 @@ class BatchMatcher {
   /// piece streams.
   bool Matches(uint32_t family, uint32_t site,
                std::span<const uint64_t> stream) const {
-    const Program* prog = ProgramFor(family, site);
-    return prog != nullptr && stream.size() >= prog->min_len &&
-           RunGroups(*prog, stream, [](const Pattern&, size_t) {
-             return false;  // the first occurrence settles it
-           });
+    return MatchesIn(family, site, stream);
+  }
+  bool Matches(uint32_t family, uint32_t site,
+               const PackedValues& stream) const {
+    return stream.bits() == 8 ? MatchesIn(family, site, BytesOf(stream))
+                              : MatchesIn(family, site, stream);
   }
 
   /// Invokes fn(series_alignment, chunk_index) for every occurrence of
@@ -65,18 +74,25 @@ class BatchMatcher {
   template <typename Fn>
   void ForEachOccurrence(uint32_t family, uint32_t site,
                          std::span<const uint64_t> stream, Fn&& fn) const {
-    const Program* prog = ProgramFor(family, site);
-    if (prog == nullptr || stream.size() < prog->min_len) return;
-    RunGroups(*prog, stream, [&](const Pattern& p, size_t start) {
-      fn(p.alignment, start);
-      return true;  // keep scanning: report every occurrence
-    });
+    ForEachIn(family, site, stream, fn);
+  }
+  template <typename Fn>
+  void ForEachOccurrence(uint32_t family, uint32_t site,
+                         const PackedValues& stream, Fn&& fn) const {
+    if (stream.bits() == 8) {
+      ForEachIn(family, site, BytesOf(stream), fn);
+    } else {
+      ForEachIn(family, site, stream, fn);
+    }
   }
 
  private:
   struct Pattern {
     uint32_t alignment = 0;
     std::span<const uint64_t> values;  // into query_'s chunk/piece buffers
+    /// `values` narrowed to bytes, for 8-bit streams; empty when some value
+    /// is >= 256, which no 8-bit stream holds.
+    Bytes bytes;
   };
 
   /// One Shift-And word: up to 64 pattern-prefix positions concatenated.
@@ -98,6 +114,31 @@ class BatchMatcher {
     size_t min_len = 0;  // shortest pattern: early-out bound
   };
 
+  /// The values of an 8-bit stored stream: its bytes, one per value.
+  static ByteSpan BytesOf(const PackedValues& stream) {
+    return stream.data().first(stream.size());
+  }
+
+  /// Full-pattern confirmation at `start`, one per stream form; the caller
+  /// has checked that the pattern fits the stream from there.
+  static bool Equal(const Pattern& p, std::span<const uint64_t> stream,
+                    size_t start) {
+    return std::memcmp(stream.data() + start, p.values.data(),
+                       p.values.size() * sizeof(uint64_t)) == 0;
+  }
+  static bool Equal(const Pattern& p, ByteSpan stream, size_t start) {
+    return !p.bytes.empty() &&
+           std::memcmp(stream.data() + start, p.bytes.data(),
+                       p.bytes.size()) == 0;
+  }
+  static bool Equal(const Pattern& p, const PackedValues& stream,
+                    size_t start) {
+    for (size_t j = 0; j < p.values.size(); ++j) {
+      if (stream[start + j] != p.values[j]) return false;
+    }
+    return true;
+  }
+
   /// The program of (family, site), or nullptr when that cell cannot match
   /// (family/site out of range, or no non-empty patterns).
   const Program* ProgramFor(uint32_t family, uint32_t site) const {
@@ -108,12 +149,31 @@ class BatchMatcher {
     return prog.patterns.empty() ? nullptr : &prog;
   }
 
+  template <typename Stream>
+  bool MatchesIn(uint32_t family, uint32_t site, const Stream& stream) const {
+    const Program* prog = ProgramFor(family, site);
+    return prog != nullptr && stream.size() >= prog->min_len &&
+           RunGroups(*prog, stream, [](const Pattern&, size_t) {
+             return false;  // the first occurrence settles it
+           });
+  }
+
+  template <typename Stream, typename Fn>
+  void ForEachIn(uint32_t family, uint32_t site, const Stream& stream,
+                 Fn& fn) const {
+    const Program* prog = ProgramFor(family, site);
+    if (prog == nullptr || stream.size() < prog->min_len) return;
+    RunGroups(*prog, stream, [&](const Pattern& p, size_t start) {
+      fn(p.alignment, start);
+      return true;  // keep scanning: report every occurrence
+    });
+  }
+
   /// Runs every automaton group of `prog` over the stream and calls
   /// fn(pattern, start) on each verified occurrence. fn returns false to
   /// stop; RunGroups returns true exactly when fn stopped it.
-  template <typename Fn>
-  static bool RunGroups(const Program& prog, std::span<const uint64_t> stream,
-                        Fn&& fn) {
+  template <typename Stream, typename Fn>
+  static bool RunGroups(const Program& prog, const Stream& stream, Fn&& fn) {
     for (const Group& g : prog.groups) {
       uint64_t state = 0;
       for (size_t i = 0; i < stream.size(); ++i) {
@@ -126,12 +186,10 @@ class BatchMatcher {
           const Pattern& p =
               prog.patterns[g.pattern_of_bit[static_cast<size_t>(bit)]];
           // The group saw at most the first 64 values; the full pattern
-          // must still fit the stream before memcmp reads it.
+          // must still fit the stream before Equal reads it.
           const size_t len = p.values.size();
           const size_t start = i + 1 - std::min<size_t>(len, 64);
-          if (start + len <= stream.size() &&
-              std::memcmp(stream.data() + start, p.values.data(),
-                          len * sizeof(uint64_t)) == 0 &&
+          if (start + len <= stream.size() && Equal(p, stream, start) &&
               !fn(p, start)) {
             return true;
           }

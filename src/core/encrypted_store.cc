@@ -1,9 +1,10 @@
 #include "core/encrypted_store.h"
 
 #include <algorithm>
-#include <map>
+#include <iterator>
 #include <memory>
 #include <set>
+#include <span>
 #include <utility>
 
 #include "core/batch_matcher.h"
@@ -29,7 +30,7 @@ int64_t ImpliedPosition(uint32_t family_offset, size_t chunk_index,
 /// cross-site AND and cross-family combination happen at the client, which
 /// is the only party that can correlate sites. Prepare deserializes and
 /// compiles the wire query once per scan; every bucket's task shares the
-/// one compiled form.
+/// one compiled form. Stored streams are matched in place, never decoded.
 class MatchScanFilter : public sdds::ScanFilter {
  public:
   explicit MatchScanFilter(const IndexPipeline* pipeline)
@@ -51,14 +52,9 @@ class MatchScanFilter : public sdds::ScanFilter {
       uint64_t rid;
       uint32_t family, site;
       ParseIndexKey(key, pipeline_->params(), &rid, &family, &site);
-      // Decode buffer reused across records. One Prepared is shared by all
-      // buckets of a scan and driven concurrently in thread-pool mode, so
-      // the scratch is per worker thread, not per instance.
-      static thread_local std::vector<uint64_t> scratch;
-      if (!pipeline_->DeserializeStreamInto(value, &scratch).ok()) {
-        return false;  // undecodable record: no match
-      }
-      return matcher_.Matches(family, site, scratch);
+      const Result<PackedValues> stream = pipeline_->StreamView(value);
+      // A malformed record matches nothing.
+      return stream.ok() && matcher_.Matches(family, site, *stream);
     }
 
     /// Streams the shard's records out of the packed arena in slice order
@@ -227,72 +223,129 @@ Result<EncryptedStore::SearchOutcome> EncryptedStore::SearchDetailed(
   const uint32_t k = static_cast<uint32_t>(p.dispersal_sites);
   const uint32_t symbols = static_cast<uint32_t>(p.symbols_per_chunk());
 
-  // Group candidate index records by (rid, family).
-  std::map<std::pair<uint64_t, uint32_t>, std::map<uint32_t, Bytes>> groups;
-  for (const sdds::WireRecord& hit : scan.hits) {
-    uint64_t rid;
-    uint32_t family, site;
-    ParseIndexKey(hit.key, p, &rid, &family, &site);
-    groups[{rid, family}][site] = hit.value;
-  }
+  // Index keys are rid | family | site from the high bits down
+  // (MakeIndexKey), so hits sorted by key arrive grouped by (rid, family)
+  // with sites ascending, and groups in ascending rid order.
+  std::vector<sdds::WireRecord>& hits = scan.hits;
+  std::sort(hits.begin(), hits.end(),
+            [](const sdds::WireRecord& a, const sdds::WireRecord& b) {
+              return a.key < b.key;
+            });
+  hits.erase(std::unique(hits.begin(), hits.end(),
+                         [](const sdds::WireRecord& a,
+                            const sdds::WireRecord& b) {
+                           return a.key == b.key;
+                         }),
+             hits.end());
 
   // Per family: positions confirmed by ALL k dispersal sites at the same
   // offset (§4: "If all dispersion sites containing dispersed chunks from
-  // the same index record report a hit in the same location").
-  std::map<uint64_t, std::map<uint32_t, std::set<int64_t>>> confirmed;
-  std::vector<uint64_t> stream;  // decode buffer, reused across candidates
-  for (const auto& [group_key, sites] : groups) {
-    const auto& [rid, family] = group_key;
-    if (sites.size() < k) continue;  // some dispersal site did not match
+  // the same index record report a hit in the same location"). Confirmed
+  // families are kept in key order; positions[begin, end) of each is
+  // sorted and distinct.
+  struct ConfirmedFamily {
+    uint64_t rid;
+    uint32_t family;
+    size_t begin, end;
+  };
+  struct KeyParts {
+    uint64_t rid;
+    uint32_t family, site;
+  };
+  const auto parse = [&p](uint64_t key) {
+    KeyParts parts;
+    ParseIndexKey(key, p, &parts.rid, &parts.family, &parts.site);
+    return parts;
+  };
+  std::vector<ConfirmedFamily> confirmed;
+  std::vector<int64_t> positions;
+  std::vector<int64_t> family_positions, site_positions, merged;
+  for (size_t begin = 0, end; begin < hits.size(); begin = end) {
+    const KeyParts group = parse(hits[begin].key);
+    const uint64_t rid = group.rid;
+    const uint32_t family = group.family;
+    for (end = begin + 1; end < hits.size(); ++end) {
+      const KeyParts next = parse(hits[end].key);
+      if (next.rid != rid || next.family != family) break;
+    }
+    if (end - begin < k) continue;  // some dispersal site did not match
     const uint32_t family_offset =
         family * static_cast<uint32_t>(p.chunking_stride);
 
-    std::set<int64_t> family_positions;
-    bool first_site = true;
-    for (const auto& [site, payload] : sites) {
-      ESSDDS_RETURN_IF_ERROR(
-          pipeline_->DeserializeStreamInto(payload, &stream));
-      std::set<int64_t> site_positions;
+    for (size_t h = begin; h < end; ++h) {
+      const uint32_t site = parse(hits[h].key).site;
+      ESSDDS_ASSIGN_OR_RETURN(const PackedValues stream,
+                              pipeline_->StreamView(hits[h].value));
+      site_positions.clear();
       matcher.ForEachOccurrence(
           family, site, stream, [&](uint32_t alignment, size_t c) {
-            site_positions.insert(
+            site_positions.push_back(
                 ImpliedPosition(family_offset, c, symbols, alignment));
           });
-      if (first_site) {
-        family_positions = std::move(site_positions);
-        first_site = false;
+      std::sort(site_positions.begin(), site_positions.end());
+      site_positions.erase(
+          std::unique(site_positions.begin(), site_positions.end()),
+          site_positions.end());
+      if (h == begin) {
+        std::swap(family_positions, site_positions);
       } else {
-        std::set<int64_t> merged;
+        merged.clear();
         std::set_intersection(family_positions.begin(), family_positions.end(),
                               site_positions.begin(), site_positions.end(),
-                              std::inserter(merged, merged.begin()));
-        family_positions = std::move(merged);
+                              std::back_inserter(merged));
+        std::swap(family_positions, merged);
       }
       if (family_positions.empty()) break;
     }
     if (!family_positions.empty()) {
-      confirmed[rid][family] = std::move(family_positions);
+      confirmed.push_back(ConfirmedFamily{rid, family, positions.size(),
+                                          positions.size() +
+                                              family_positions.size()});
+      positions.insert(positions.end(), family_positions.begin(),
+                       family_positions.end());
       outcome.stats.families_confirmed++;
     }
   }
-  outcome.stats.rids_candidates = confirmed.size();
 
-  // Cross-family combination.
-  std::set<uint32_t> available_alignments;
+  // Cross-family combination, one run of confirmed families per rid.
+  std::vector<uint32_t> available_alignments;
   for (const QuerySeries& s : matcher.query().SeriesFor(0)) {
-    available_alignments.insert(s.alignment);
+    available_alignments.push_back(s.alignment);
   }
-  for (const auto& [rid, families] : confirmed) {
+  std::sort(available_alignments.begin(), available_alignments.end());
+  std::vector<int64_t> all_positions;
+  for (size_t r = 0; r < confirmed.size();) {
+    const uint64_t rid = confirmed[r].rid;
+    size_t r_end = r + 1;
+    while (r_end < confirmed.size() && confirmed[r_end].rid == rid) ++r_end;
+    const std::span<const ConfirmedFamily> families(confirmed.data() + r,
+                                                    r_end - r);
+    r = r_end;
+    outcome.stats.rids_candidates++;
     bool hit = false;
     if (p.combination == CombinationMode::kAnyChunking) {
-      hit = !families.empty();
+      hit = true;
     } else {
       // kAllExpectedChunkings: a position counts only when every family
       // that could structurally observe it confirms it.
-      std::set<int64_t> all_positions;
-      for (const auto& [family, positions] : families) {
-        all_positions.insert(positions.begin(), positions.end());
+      const auto confirms = [&](uint32_t family, int64_t pos) {
+        for (const ConfirmedFamily& f : families) {
+          if (f.family == family) {
+            return std::binary_search(positions.begin() + f.begin,
+                                      positions.begin() + f.end, pos);
+          }
+        }
+        return false;
+      };
+      all_positions.clear();
+      for (const ConfirmedFamily& f : families) {
+        all_positions.insert(all_positions.end(), positions.begin() + f.begin,
+                             positions.begin() + f.end);
       }
+      std::sort(all_positions.begin(), all_positions.end());
+      all_positions.erase(
+          std::unique(all_positions.begin(), all_positions.end()),
+          all_positions.end());
       for (int64_t pos : all_positions) {
         bool all_expected_confirm = true;
         int expected = 0;
@@ -301,10 +354,12 @@ Result<EncryptedStore::SearchOutcome> EncryptedStore::SearchDetailed(
           const int64_t period = symbols;
           const uint32_t alignment = static_cast<uint32_t>(
               ((offset - pos) % period + period) % period);
-          if (!available_alignments.contains(alignment)) continue;
+          if (!std::binary_search(available_alignments.begin(),
+                                  available_alignments.end(), alignment)) {
+            continue;
+          }
           ++expected;
-          auto it = families.find(static_cast<uint32_t>(f));
-          if (it == families.end() || !it->second.contains(pos)) {
+          if (!confirms(static_cast<uint32_t>(f), pos)) {
             all_expected_confirm = false;
             break;
           }
@@ -315,9 +370,8 @@ Result<EncryptedStore::SearchOutcome> EncryptedStore::SearchDetailed(
         }
       }
     }
-    if (hit) outcome.rids.push_back(rid);
+    if (hit) outcome.rids.push_back(rid);  // runs come in ascending rid order
   }
-  std::sort(outcome.rids.begin(), outcome.rids.end());
   outcome.stats.rids_final = outcome.rids.size();
   return outcome;
 }

@@ -146,7 +146,10 @@ IndexPipeline::IndexPipeline(
       encoder_(std::move(encoder)),
       chunker_(std::move(chunker)),
       codebooks_(std::move(codebooks)),
-      disperser_(std::move(disperser)) {}
+      disperser_(std::move(disperser)),
+      value_bits_(params_.dispersal_sites > 1
+                      ? params_.chunk_bits() / params_.dispersal_sites
+                      : params_.chunk_bits()) {}
 
 Result<IndexPipeline> IndexPipeline::Create(
     const SchemeParams& params, ByteSpan master_key,
@@ -331,27 +334,14 @@ Result<std::vector<uint64_t>> IndexPipeline::DeserializeStream(
 Status IndexPipeline::DeserializeStreamInto(ByteSpan data,
                                             std::vector<uint64_t>* out) const {
   out->clear();
-  BitReader r(data);
-  ESSDDS_ASSIGN_OR_RETURN(uint64_t count, r.Read(32));
-  const int bits = stream_value_bits();
-  // Bounds the untrusted count against the remaining bit budget before any
-  // allocation (count <= 2^32 and bits <= 64, so the product cannot
-  // overflow); same invariant WireReader::ReadCount enforces byte-wise.
-  if (r.remaining_bits() < count * static_cast<uint64_t>(bits)) {
-    return Status::Corruption("stream payload truncated");
-  }
-  out->reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    ESSDDS_ASSIGN_OR_RETURN(uint64_t v, r.Read(bits));
+  ESSDDS_ASSIGN_OR_RETURN(const PackedValues values, StreamView(data));
+  out->reserve(values.size());
+  BitReader r(values.data());
+  for (size_t i = 0; i < values.size(); ++i) {
+    ESSDDS_ASSIGN_OR_RETURN(const uint64_t v, r.Read(values.bits()));
     out->push_back(v);
   }
   return Status::OK();
-}
-
-int IndexPipeline::stream_value_bits() const {
-  return params_.dispersal_sites > 1
-             ? params_.chunk_bits() / params_.dispersal_sites
-             : params_.chunk_bits();
 }
 
 }  // namespace essdds::core

@@ -14,6 +14,7 @@
 #include "codec/symbol_encoder.h"
 #include "core/scheme_params.h"
 #include "crypto/ecb.h"
+#include "util/bitstream.h"
 #include "util/bytes.h"
 #include "util/result.h"
 
@@ -120,18 +121,35 @@ class IndexPipeline {
   /// params().min_query_symbols().
   Result<SearchQuery> BuildQuery(std::string_view substring) const;
 
-  /// Serializes a stream for storage as an LH* record value.
+  /// Serializes a stream for storage as an LH* record value: a u32 value
+  /// count, then the values packed MSB-first at stream_value_bits() each.
   Bytes SerializeStream(const std::vector<uint64_t>& stream) const;
   Result<std::vector<uint64_t>> DeserializeStream(ByteSpan data) const;
-  /// Allocation-reusing variant for hot scan loops: clears `*out` and
-  /// decodes into it, keeping its capacity across records.
+  /// Allocation-reusing variant: clears `*out` and decodes into it, keeping
+  /// its capacity across records.
   Status DeserializeStreamInto(ByteSpan data, std::vector<uint64_t>* out) const;
+
+  /// A stored stream read in place: the values stay packed in `data`. The
+  /// one check of a stored stream, shared by the decoder and the matcher:
+  /// Corruption when the count header is short or the count needs more
+  /// bits than follow it; trailing bytes are ignored. The count is bounded
+  /// by the payload before anything reads or allocates by it.
+  Result<PackedValues> StreamView(ByteSpan data) const {
+    if (data.size() < 4) return Status::Corruption("stream header truncated");
+    const uint64_t count = LoadBits(data, 0, 32);
+    const ByteSpan values = data.subspan(4);
+    // count < 2^32 and bits <= 64, so the product cannot overflow.
+    if (values.size() * 8 < count * static_cast<uint64_t>(value_bits_)) {
+      return Status::Corruption("stream payload truncated");
+    }
+    return PackedValues(values, static_cast<size_t>(count), value_bits_);
+  }
 
   const SchemeParams& params() const { return params_; }
   const codec::SymbolEncoder& encoder() const { return *encoder_; }
 
   /// Bits per stored stream value (dispersal piece width, or chunk width).
-  int stream_value_bits() const;
+  int stream_value_bits() const { return value_bits_; }
 
  private:
   IndexPipeline(SchemeParams params,
@@ -159,6 +177,7 @@ class IndexPipeline {
   /// One codebook (shared) or one per family (per_family_keys).
   std::vector<std::unique_ptr<crypto::EcbCodebook>> codebooks_;
   std::unique_ptr<codec::Disperser> disperser_;  // null when k == 1
+  int value_bits_;  // stream_value_bits()
 };
 
 }  // namespace essdds::core

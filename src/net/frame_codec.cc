@@ -2,19 +2,47 @@
 
 #include <cstring>
 
+#include "sdds/message.h"
 #include "util/crc32.h"
 #include "util/wire.h"
 
 namespace essdds::net {
 
-Bytes EncodeFrame(FrameKind kind, ByteSpan payload) {
+namespace {
+
+/// A frame buffer sized for `len` payload bytes, header written with a
+/// placeholder CRC; the caller appends the payload, then FinishFrame.
+WireWriter StartFrame(FrameKind kind, size_t len) {
   WireWriter w;
+  w.Reserve(kFrameHeaderSize + len);
   w.WriteU32(kFrameMagic);
   w.WriteU8(static_cast<uint8_t>(kind));
-  w.WriteU32(static_cast<uint32_t>(payload.size()));
-  w.WriteU32(Crc32(payload));
+  w.WriteU32(static_cast<uint32_t>(len));
+  w.WriteU32(0);  // CRC, filled in by FinishFrame
+  return w;
+}
+
+Bytes FinishFrame(WireWriter& w, size_t len) {
+  Bytes frame = w.TakeBuffer();
+  ESSDDS_CHECK(frame.size() == kFrameHeaderSize + len);
+  StoreBigEndian32(Crc32(ByteSpan(frame).subspan(kFrameHeaderSize)),
+                   frame.data() + kFrameHeaderSize - 4);
+  return frame;
+}
+
+}  // namespace
+
+Bytes EncodeFrame(FrameKind kind, ByteSpan payload) {
+  WireWriter w = StartFrame(kind, payload.size());
   w.WriteBytes(payload);
-  return w.TakeBuffer();
+  return FinishFrame(w, payload.size());
+}
+
+Bytes EncodeMessageFrame(const sdds::Message& msg) {
+  const size_t len = msg.EncodedSize();
+  WireWriter w = StartFrame(FrameKind::kMessage, len);
+  msg.EncodeTo(w);
+  return FinishFrame(w, len);
 }
 
 Bytes EncodeHello(uint32_t site) {

@@ -7,6 +7,10 @@
 #include "util/bytes.h"
 #include "util/result.h"
 
+namespace essdds::sdds {
+struct Message;
+}  // namespace essdds::sdds
+
 namespace essdds::net {
 
 /// Frame kinds carried on a socket connection. kMessage wraps one encoded
@@ -70,6 +74,11 @@ struct Frame {
 
 /// One encoded frame: header + payload, ready to write to a socket.
 Bytes EncodeFrame(FrameKind kind, ByteSpan payload);
+
+/// The bytes of EncodeFrame(FrameKind::kMessage, msg.Encode()), built in one
+/// buffer sized from msg.EncodedSize(): the message is encoded straight
+/// behind the header and the CRC filled in after it.
+Bytes EncodeMessageFrame(const sdds::Message& msg);
 
 // Control-frame payload helpers. Decoders are bounds-checked and reject
 // trailing bytes; junk in -> Corruption out.

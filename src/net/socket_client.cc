@@ -74,7 +74,7 @@ void SocketClient::Send(const Message& msg) {
   }
   Conn* conn = HostConn(options_.cluster.HostOfSite(msg.to));
   if (conn == nullptr) return;  // redial failed; timeout path owns recovery
-  conn->EnqueueFrame(EncodeFrame(FrameKind::kMessage, msg.Encode()));
+  conn->EnqueueFrame(EncodeMessageFrame(msg));
 }
 
 Result<uint64_t> SocketClient::SubmitKeyOp(MsgType type, uint64_t key,

@@ -120,7 +120,7 @@ Conn* SocketNetwork::PeerConn(size_t host) {
 }
 
 void SocketNetwork::EnqueueMessage(Conn* conn, const Message& msg) {
-  conn->EnqueueFrame(EncodeFrame(FrameKind::kMessage, msg.Encode()));
+  conn->EnqueueFrame(EncodeMessageFrame(msg));
 }
 
 void SocketNetwork::Send(Message msg) {

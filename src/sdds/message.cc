@@ -169,9 +169,11 @@ size_t Message::EncodedSize() const {
 Bytes Message::Encode() const {
   WireWriter w;
   w.Reserve(EncodedSize());
-  WriteMessage(*this, w);
+  EncodeTo(w);
   return w.TakeBuffer();
 }
+
+void Message::EncodeTo(WireWriter& w) const { WriteMessage(*this, w); }
 
 Result<Message> Message::Decode(ByteSpan data) {
   WireReader r(data);

@@ -8,6 +8,10 @@
 #include "util/bytes.h"
 #include "util/result.h"
 
+namespace essdds {
+class WireWriter;
+}  // namespace essdds
+
 namespace essdds::sdds {
 
 /// Identifies a site (node) of the simulated multicomputer.
@@ -150,6 +154,9 @@ struct Message {
   /// non-canonical bytes yield Status::Corruption, never an exception or
   /// unbounded allocation.
   Bytes Encode() const;
+  /// Appends Encode()'s bytes to `w`, for callers that frame the message
+  /// in a buffer of their own.
+  void EncodeTo(WireWriter& w) const;
   static Result<Message> Decode(ByteSpan data);
 
   /// Encode().size(), counted without building the bytes: what every

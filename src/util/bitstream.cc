@@ -1,19 +1,27 @@
 #include "util/bitstream.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace essdds {
 
 void BitWriter::Write(uint64_t value, int bits) {
   ESSDDS_CHECK(bits >= 1 && bits <= 64);
-  for (int i = bits - 1; i >= 0; --i) {
-    const int bit = static_cast<int>((value >> i) & 1);
-    const size_t byte_index = bit_count_ / 8;
-    if (byte_index == buffer_.size()) buffer_.push_back(0);
-    if (bit) {
-      buffer_[byte_index] |= static_cast<uint8_t>(1u << (7 - bit_count_ % 8));
-    }
-    ++bit_count_;
+  const unsigned shift = static_cast<unsigned>(bit_count_ % 8);
+  const size_t byte = bit_count_ / 8;
+  bit_count_ += static_cast<size_t>(bits);
+  buffer_.resize((bit_count_ + 7) / 8);  // new bytes start zeroed
+  // Left-align the value (dropping bits above `bits`), then place it at the
+  // open byte's free bits: the top 64 bits of that placement cover the
+  // first eight bytes, the low `shift` bits of `aligned` spill into a ninth.
+  const uint64_t aligned = value << (64 - bits);
+  const uint64_t word = aligned >> shift;
+  const size_t touched = std::min<size_t>(buffer_.size() - byte, 8);
+  for (size_t j = 0; j < touched; ++j) {
+    buffer_[byte + j] |= static_cast<uint8_t>(word >> (56 - 8 * j));
+  }
+  if (shift + static_cast<unsigned>(bits) > 64) {
+    buffer_[byte + 8] |= static_cast<uint8_t>(aligned << (8 - shift));
   }
 }
 
@@ -27,13 +35,8 @@ Result<uint64_t> BitReader::Read(int bits) {
   if (remaining_bits() < static_cast<size_t>(bits)) {
     return Status::OutOfRange("bit stream exhausted");
   }
-  uint64_t v = 0;
-  for (int i = 0; i < bits; ++i) {
-    const size_t byte_index = pos_ / 8;
-    const int bit = (data_[byte_index] >> (7 - pos_ % 8)) & 1;
-    v = (v << 1) | static_cast<uint64_t>(bit);
-    ++pos_;
-  }
+  const uint64_t v = LoadBits(data_, pos_, bits);
+  pos_ += static_cast<size_t>(bits);
   return v;
 }
 

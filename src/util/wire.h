@@ -1,7 +1,6 @@
 #ifndef ESSDDS_UTIL_WIRE_H_
 #define ESSDDS_UTIL_WIRE_H_
 
-#include <algorithm>
 #include <cstdint>
 
 #include "util/bytes.h"
@@ -49,18 +48,6 @@ class WireReader {
   /// Corruption unless the cursor consumed the whole span (rejects trailing
   /// garbage on formats that are exactly sized).
   Status ExpectEnd() const;
-
-  /// Caps an untrusted reserve() for callers that bound elements by a
-  /// schema-derived size instead of ReadCount: pre-allocates at most
-  /// remaining() / min_element_size elements no matter what `count` claims,
-  /// so a lying header can never force an oversized allocation. The parse
-  /// loop still appends (and bounds-checks) element by element.
-  template <typename Vec>
-  void CheckedReserve(Vec& v, uint64_t count, size_t min_element_size) const {
-    const uint64_t cap =
-        min_element_size == 0 ? 0 : remaining() / min_element_size;
-    v.reserve(static_cast<size_t>(std::min<uint64_t>(count, cap)));
-  }
 
  private:
   ByteSpan data_;

@@ -15,10 +15,12 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "core/pipeline.h"
+#include "core/scheme_params.h"
 #include "util/random.h"
 
 namespace essdds::core {
@@ -500,6 +502,168 @@ TEST(BatchMatcherTest, TwoLongPatternsEachTakeAGroup) {
   });
   EXPECT_EQ(got, (OccurrenceSet{{0, 5 + 90 + 3}, {1, 5}}));
   EXPECT_TRUE(batch.Matches(0, 0, stream));
+}
+
+/// Schemes whose stored stream values are 8, 16, 32, 12 and 3 bits wide.
+/// Stage 2 (8 codes) gives the non-byte widths.
+struct WidthCase {
+  SchemeParams params;
+  int bits;
+};
+
+std::vector<WidthCase> WidthCases() {
+  return {
+      {{.codes_per_chunk = 4, .dispersal_sites = 4}, 8},
+      {{.codes_per_chunk = 4, .dispersal_sites = 2}, 16},
+      {{.codes_per_chunk = 4}, 32},
+      {{.num_codes = 8, .codes_per_chunk = 4}, 12},
+      {{.num_codes = 8, .codes_per_chunk = 4, .dispersal_sites = 4}, 3},
+  };
+}
+
+std::unique_ptr<IndexPipeline> PipelineFor(const WidthCase& c) {
+  static const std::vector<std::string> corpus = {"SCHWARZ THOMAS",
+                                                  "TSUI PETER", "LEE WEI"};
+  auto pipe = IndexPipeline::Create(c.params, ToBytes("width test key"),
+                                    corpus);
+  EXPECT_TRUE(pipe.ok()) << pipe.status().ToString();
+  EXPECT_EQ(pipe->stream_value_bits(), c.bits);
+  return std::make_unique<IndexPipeline>(*std::move(pipe));
+}
+
+/// Keeps the low `bits` bits of every pattern value of half the series, so
+/// some patterns fit the stored width (real hits) and the rest carry high
+/// bits no stored value has (automaton fires the compare must reject).
+void FitSomePatterns(Rng& rng, int bits, SearchQuery& q) {
+  const uint64_t mask = bits == 64 ? ~uint64_t{0} : (uint64_t{1} << bits) - 1;
+  auto fit = [&](std::vector<QuerySeries>& list) {
+    for (QuerySeries& s : list) {
+      if (rng.Bernoulli(0.5)) continue;
+      for (uint64_t& v : s.chunks) v &= mask;
+      for (auto& piece : s.pieces) {
+        for (uint64_t& v : piece) v &= mask;
+      }
+    }
+  };
+  fit(q.series);
+  for (auto& list : q.family_series) fit(list);
+}
+
+TEST(BatchMatcherTest, StoredStreamsMatchInPlaceAtEveryWidth) {
+  // The in-place path over SerializeStream's bytes must agree with the
+  // decoded path over DeserializeStream's values and with the naive scan.
+  for (const WidthCase& c : WidthCases()) {
+    const auto pipe = PipelineFor(c);
+    Rng rng(50 + static_cast<uint64_t>(c.bits));
+    for (int trial = 0; trial < 150; ++trial) {
+      SearchQuery query = RandomQuery(rng);
+      FitSomePatterns(rng, c.bits, query);
+      const BatchMatcher batch(&query);
+      for (uint32_t family = 0; family < 3; ++family) {
+        for (uint32_t site = 0; site < 5; ++site) {
+          const Bytes payload =
+              pipe->SerializeStream(StreamForQuery(rng, query, family, site));
+          // Exactly sized, so a read past the stored stream is reported.
+          const auto exact = std::make_unique<uint8_t[]>(payload.size());
+          std::copy(payload.begin(), payload.end(), exact.get());
+          const ByteSpan stored(exact.get(), payload.size());
+          const auto decoded = pipe->DeserializeStream(stored);
+          ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+          const auto view = pipe->StreamView(stored);
+          ASSERT_TRUE(view.ok()) << view.status().ToString();
+          ASSERT_EQ(view->size(), decoded->size());
+
+          const OccurrenceSet expected =
+              NaiveOccurrences(query, family, site, *decoded);
+          OccurrenceSet in_place, from_decoded;
+          batch.ForEachOccurrence(family, site, *view,
+                                  [&](uint32_t a, size_t at) {
+                                    in_place.insert({a, at});
+                                  });
+          batch.ForEachOccurrence(family, site, *decoded,
+                                  [&](uint32_t a, size_t at) {
+                                    from_decoded.insert({a, at});
+                                  });
+          EXPECT_EQ(in_place, expected) << "bits " << c.bits << " trial "
+                                        << trial;
+          EXPECT_EQ(from_decoded, expected) << "bits " << c.bits;
+          EXPECT_EQ(batch.Matches(family, site, *view), !expected.empty())
+              << "bits " << c.bits << " trial " << trial;
+          EXPECT_EQ(batch.Matches(family, site, *decoded), !expected.empty());
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchMatcherTest, WideQueryValuesNeverMatchByteStreams) {
+  // An 8-bit stream is matched on its raw bytes. A query value of 256 or
+  // more reduces to a byte the stream does hold, so the automaton fires;
+  // no stored value can equal it, so nothing may match.
+  const auto pipe = PipelineFor(WidthCases()[0]);
+  ASSERT_EQ(pipe->stream_value_bits(), 8);
+  const Bytes payload = pipe->SerializeStream({7, 0x41, 0x42, 0x43, 9});
+  const auto view = pipe->StreamView(payload);
+  ASSERT_TRUE(view.ok());
+  const std::vector<std::vector<uint64_t>> wide_patterns = {
+      {0x141, 0x42}, {0x41, 0x242, 0x43}, {0x41, 0x42, 0x10043}};
+  for (const std::vector<uint64_t>& wide : wide_patterns) {
+    const SearchQuery q = PlainQuery({wide});
+    const BatchMatcher batch(&q);
+    EXPECT_FALSE(batch.Matches(0, 0, *view));
+    int reports = 0;
+    batch.ForEachOccurrence(0, 0, *view, [&](uint32_t, size_t) { ++reports; });
+    EXPECT_EQ(reports, 0);
+  }
+  const SearchQuery fits = PlainQuery({{0x41, 0x42, 0x43}});
+  const BatchMatcher batch(&fits);
+  EXPECT_TRUE(batch.Matches(0, 0, *view));
+}
+
+TEST(BatchMatcherTest, MalformedStoredStreamsFailLikeTheDecoder) {
+  // StreamView is the decoder's own check: every payload it refuses, the
+  // decoder refuses with the same Corruption (the client's search returns
+  // it; the site filter treats it as no match), and every payload it
+  // accepts decodes to the values the view reads.
+  for (const WidthCase& c : WidthCases()) {
+    const auto pipe = PipelineFor(c);
+    const Bytes good = pipe->SerializeStream({1, 2, 3, 4, 5, 6, 7});
+    std::vector<std::pair<Bytes, bool>> cases;  // payload, well-formed
+    for (size_t n = 0; n < 4; ++n) {
+      cases.push_back({Bytes(good.begin(), good.begin() + n), false});
+    }
+    cases.push_back({Bytes(good.begin(), good.end() - 1), false});
+    Bytes overcount = good;
+    overcount[3] = static_cast<uint8_t>(overcount[3] + 8);  // count past end
+    cases.push_back({overcount, false});
+    Bytes huge = good;
+    huge[0] = huge[1] = huge[2] = huge[3] = 0xFF;
+    cases.push_back({huge, false});
+    Bytes trailing = good;
+    trailing.insert(trailing.end(), {0xAA, 0xBB, 0xCC});
+    cases.push_back({trailing, true});  // the decoder ignores the tail
+    cases.push_back({good, true});
+    const SearchQuery q = PlainQuery({{2, 3}});
+    const BatchMatcher batch(&q);
+    for (const auto& [payload, well_formed] : cases) {
+      const auto view = pipe->StreamView(payload);
+      const auto decoded = pipe->DeserializeStream(payload);
+      ASSERT_EQ(view.ok(), well_formed)
+          << "bits " << c.bits << " size " << payload.size();
+      ASSERT_EQ(decoded.ok(), well_formed);
+      if (!well_formed) {
+        EXPECT_TRUE(view.status().IsCorruption()) << view.status().ToString();
+        EXPECT_EQ(decoded.status().ToString(), view.status().ToString());
+        continue;
+      }
+      ASSERT_EQ(view->size(), decoded->size());
+      for (size_t i = 0; i < view->size(); ++i) {
+        EXPECT_EQ((*view)[i], (*decoded)[i]);
+      }
+      EXPECT_EQ(batch.Matches(0, 0, *view), batch.Matches(0, 0, *decoded));
+      EXPECT_TRUE(batch.Matches(0, 0, *view)) << "bits " << c.bits;
+    }
+  }
 }
 
 }  // namespace

@@ -408,6 +408,67 @@ TEST(EncryptedStoreTest, SiteFilterRejectsGarbageQueries) {
   }
 }
 
+TEST(EncryptedStoreTest, MalformedIndexRecordsMatchNothingAtTheSite) {
+  // The site filter reads stored streams in place. A payload the stream
+  // decoder refuses (short header, count past the end, cut value) is no
+  // match, and a search over it stays OK and simply loses that record;
+  // trailing bytes the decoder ignores do not stop a match.
+  for (int k : {4, 2}) {  // 8- and 16-bit stored values
+    auto store = MakeStore(SchemeParams{.codes_per_chunk = 4,
+                                        .dispersal_sites = k});
+    ASSERT_TRUE(store->Insert(1, "SCHWARZ THOMAS").ok());
+    ASSERT_TRUE(store->Insert(2, "SCHWARZ PETER").ok());
+    sdds::LhSystem& index = store->index_file();
+    auto query = store->pipeline().BuildQuery("SCHWARZ");
+    ASSERT_TRUE(query.ok()) << query.status();
+    const auto prepared = index.FilterById(0).Prepare(query->Serialize());
+    ASSERT_NE(prepared, nullptr);
+
+    // The index records of rid 1, and one of them that matches.
+    std::vector<std::pair<uint64_t, Bytes>> rid1;
+    uint64_t key = 0;
+    Bytes good;
+    for (uint64_t b = 0; b < index.bucket_count(); ++b) {
+      for (const auto& [record_key, value] : index.bucket(b).records()) {
+        uint64_t rid;
+        uint32_t family, site;
+        ParseIndexKey(record_key, store->params(), &rid, &family, &site);
+        if (rid != 1) continue;
+        rid1.emplace_back(record_key, value);
+        if (good.empty() && prepared->Matches(record_key, value)) {
+          key = record_key;
+          good = value;
+        }
+      }
+    }
+    ASSERT_FALSE(good.empty()) << "k " << k;
+
+    Bytes trailing = good;
+    trailing.push_back(0x5A);
+    EXPECT_TRUE(prepared->Matches(key, trailing)) << "k " << k;
+    Bytes overcount = good;
+    overcount[3] = static_cast<uint8_t>(overcount[3] + 1);
+    const std::vector<Bytes> malformed = {
+        Bytes(good.begin(), good.begin() + 3), overcount,
+        Bytes(good.begin(), good.end() - 1)};
+    for (const Bytes& bad : malformed) {
+      EXPECT_FALSE(store->pipeline().DeserializeStream(bad).ok());
+      EXPECT_FALSE(prepared->Matches(key, bad))
+          << "k " << k << " size " << bad.size();
+    }
+
+    // Every index record of rid 1 turned malformed: no family can match.
+    sdds::LhClient* client = index.NewClient();
+    for (auto& [record_key, value] : rid1) {
+      value[3] = static_cast<uint8_t>(value[3] + 1);  // count past the end
+      client->Insert(record_key, value);
+    }
+    auto rids = store->Search("SCHWARZ");
+    ASSERT_TRUE(rids.ok()) << rids.status();
+    EXPECT_EQ(*rids, (std::vector<uint64_t>{2})) << "k " << k;
+  }
+}
+
 TEST(EncryptedStoreTest, ShardedIndexScanThresholdSweepMatchesSerial) {
   // Full-scheme leg of the shard-threshold sweep: whatever the intra-bucket
   // sharding threshold, pooled index scans must reproduce the serial build

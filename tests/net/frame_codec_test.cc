@@ -30,6 +30,36 @@ TEST(FrameCodec, RoundTripsAllKinds) {
   }
 }
 
+TEST(FrameCodec, MessageFrameIsByteIdenticalToFramingTheEncoding) {
+  // EncodeMessageFrame builds the frame in one buffer; the bytes must be
+  // exactly the two-step EncodeFrame(kMessage, Encode()).
+  Rng rng(31);
+  for (int trial = 0; trial < 200; ++trial) {
+    sdds::Message msg;
+    msg.type = static_cast<sdds::MsgType>(
+        rng.Uniform(static_cast<uint64_t>(sdds::MsgType::kRecoveryTick) + 1));
+    if (rng.Bernoulli(0.5)) msg.from = static_cast<uint32_t>(rng.Next());
+    if (rng.Bernoulli(0.5)) msg.trace_id = rng.Next();
+    if (rng.Bernoulli(0.5)) msg.key = rng.Next();
+    if (rng.Bernoulli(0.5)) msg.value = Bytes(rng.Uniform(300), 0x5A);
+    if (rng.Bernoulli(0.3)) {
+      for (uint64_t k = 0; k < rng.Uniform(5); ++k) {
+        msg.records.push_back(sdds::WireRecord{k, Bytes(rng.Uniform(20), 7)});
+      }
+    }
+    const Bytes frame = EncodeMessageFrame(msg);
+    EXPECT_EQ(frame, EncodeFrame(FrameKind::kMessage, msg.Encode()))
+        << "trial " << trial;
+    EXPECT_EQ(frame.size(), kFrameHeaderSize + msg.EncodedSize());
+    FrameDecoder dec;
+    dec.Append(frame);
+    const Frame back = MustNext(dec);
+    auto decoded = sdds::Message::Decode(back.payload);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(*decoded, msg);
+  }
+}
+
 TEST(FrameCodec, EmptyPayloadRoundTrips) {
   FrameDecoder dec;
   dec.Append(ByteSpan(EncodeFrame(FrameKind::kMessage, {})));

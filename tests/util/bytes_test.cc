@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -118,6 +119,92 @@ TEST(BitStreamTest, RandomizedRoundTrip) {
       auto got = r.Read(bits);
       ASSERT_TRUE(got.ok());
       EXPECT_EQ(*got, v);
+    }
+  }
+}
+
+/// The per-bit packing BitWriter/BitReader must reproduce: bit i of the
+/// stream is bit (7 - i % 8) of byte i / 8, values MSB-first.
+void ReferenceWrite(Bytes& buf, size_t& bit_count, uint64_t value, int bits) {
+  for (int i = bits - 1; i >= 0; --i) {
+    if (bit_count / 8 == buf.size()) buf.push_back(0);
+    if ((value >> i) & 1) {
+      buf[bit_count / 8] |= static_cast<uint8_t>(1u << (7 - bit_count % 8));
+    }
+    ++bit_count;
+  }
+}
+
+uint64_t ReferenceRead(ByteSpan buf, size_t pos, int bits) {
+  uint64_t v = 0;
+  for (int i = 0; i < bits; ++i, ++pos) {
+    v = (v << 1) | ((buf[pos / 8] >> (7 - pos % 8)) & 1);
+  }
+  return v;
+}
+
+TEST(BitStreamTest, WordAtATimeMatchesPerBitReferenceAtUnalignedOffsets) {
+  Rng rng(43);
+  for (int iter = 0; iter < 200; ++iter) {
+    BitWriter w;
+    Bytes ref;
+    size_t ref_bits = 0;
+    std::vector<std::pair<uint64_t, int>> values;
+    // A random lead-in puts every later value at an arbitrary bit offset.
+    const int lead = static_cast<int>(rng.Uniform(64)) + 1;
+    const uint64_t lead_value = rng.Next();
+    w.Write(lead_value, lead);
+    ReferenceWrite(ref, ref_bits, lead_value, lead);
+    for (int i = 0; i < 40; ++i) {
+      const int bits = static_cast<int>(rng.Uniform(64)) + 1;
+      // High bits above `bits` are set on purpose: Write must drop them.
+      const uint64_t v = rng.Next();
+      w.Write(v, bits);
+      ReferenceWrite(ref, ref_bits, v, bits);
+      values.emplace_back(v, bits);
+    }
+    ASSERT_EQ(w.buffer(), ref) << "iter " << iter;
+    ASSERT_EQ(w.bit_count(), ref_bits);
+
+    // Exactly sized buffer: a load past its end is a sanitizer report.
+    const auto exact = std::make_unique<uint8_t[]>(ref.size());
+    std::copy(ref.begin(), ref.end(), exact.get());
+    const ByteSpan data(exact.get(), ref.size());
+    BitReader r(data);
+    ASSERT_EQ(r.Read(lead).value(), ReferenceRead(data, 0, lead));
+    size_t pos = static_cast<size_t>(lead);
+    for (auto [v, bits] : values) {
+      const uint64_t want = ReferenceRead(data, pos, bits);
+      const uint64_t mask =
+          bits == 64 ? ~uint64_t{0} : (uint64_t{1} << bits) - 1;
+      ASSERT_EQ(want, v & mask);
+      ASSERT_EQ(LoadBits(data, pos, bits), want) << "pos " << pos;
+      ASSERT_EQ(r.Read(bits).value(), want) << "pos " << pos;
+      pos += static_cast<size_t>(bits);
+    }
+    EXPECT_EQ(r.remaining_bits(), ref.size() * 8 - ref_bits);
+  }
+}
+
+TEST(BitStreamTest, PackedValuesIndexesEveryWidth) {
+  Rng rng(44);
+  for (int bits = 1; bits <= 64; ++bits) {
+    BitWriter w;
+    std::vector<uint64_t> values(37);
+    const uint64_t mask =
+        bits == 64 ? ~uint64_t{0} : (uint64_t{1} << bits) - 1;
+    for (uint64_t& v : values) {
+      v = rng.Next() & mask;
+      w.Write(v, bits);
+    }
+    const Bytes buf = w.TakeBuffer();
+    const auto exact = std::make_unique<uint8_t[]>(buf.size());
+    std::copy(buf.begin(), buf.end(), exact.get());
+    const PackedValues view(ByteSpan(exact.get(), buf.size()), values.size(),
+                            bits);
+    ASSERT_EQ(view.size(), values.size());
+    for (size_t i = 0; i < values.size(); ++i) {
+      ASSERT_EQ(view[i], values[i]) << "bits " << bits << " i " << i;
     }
   }
 }

@@ -124,17 +124,6 @@ TEST(WireReaderTest, ReadCountAcceptsExactlyFittingCounts) {
   EXPECT_TRUE(r2.ReadCount(5).status().IsCorruption());
 }
 
-TEST(WireReaderTest, CheckedReserveCapsByRemainingBytes) {
-  const Bytes wire(40, 0);
-  WireReader r(wire);
-  std::vector<uint64_t> v;
-  r.CheckedReserve(v, /*count=*/0xFFFFFFFFu, /*min_element_size=*/8);
-  EXPECT_LE(v.capacity(), 64u);  // capped near 40 / 8 = 5, not 4 billion
-  std::vector<uint64_t> w2;
-  r.CheckedReserve(w2, /*count=*/2, /*min_element_size=*/8);
-  EXPECT_GE(w2.capacity(), 2u);
-}
-
 TEST(WireReaderFuzzTest, RandomBytesNeverCrashPrimitiveReads) {
   test::RandomBytesTrials(11, 2000, 64, [](ByteSpan junk) {
     WireReader r(junk);
