@@ -2,8 +2,8 @@
 // matching (per-record failure-table construction via FindOccurrences)
 // against the BatchMatcher over a columnar arena (query compiled once);
 // (2) end-to-end encrypted search on the phonebook workload, serial vs
-// pooled vs pooled+sharded index scans. Emits one JSON object so CI can
-// track the numbers.
+// pooled index scans. Emits one JSON object, with the core count and build
+// type it ran on, so CI can track the numbers.
 //
 // Scale with ESSDDS_RECORDS=<n> (default 20,000 — the matcher contrast is
 // size-independent, the end-to-end part is wall-clock bound).
@@ -93,7 +93,7 @@ MatcherNumbers RunMatcherContrast(size_t corpus_size) {
 
   // Columnar/batch leg: decoded streams packed into one contiguous value
   // arena with offset/length arrays — the layout a bucket's ColumnStore
-  // presents to a scan shard — driven through the bit-parallel BatchMatcher.
+  // presents to a scan task — driven through the bit-parallel BatchMatcher.
   std::vector<uint64_t> arena;
   std::vector<size_t> offsets, lengths;
   std::vector<uint32_t> families, sites;
@@ -137,11 +137,9 @@ struct ScanNumbers {
   double ms_per_search = 0;
   double index_records_per_sec = 0;
   size_t hits = 0;
-  // Batch-shape histograms from the index network's metric registry
-  // (zero-count with -DESSDDS_METRICS=OFF): tasks per drained batch and
-  // shards those tasks split into.
+  // Batch-shape histogram from the index network's metric registry
+  // (zero-count with -DESSDDS_METRICS=OFF): tasks per drained batch.
   obs::Histogram::Summary batch_tasks;
-  obs::Histogram::Summary batch_shards;
 };
 
 /// Emits a Histogram::Summary as the next value (an object).
@@ -155,15 +153,12 @@ void SummaryValue(JsonWriter& w, const obs::Histogram::Summary& s) {
       .EndObject();
 }
 
-ScanNumbers RunStoreSearches(size_t corpus_size, size_t scan_threads,
-                             size_t shard_min_records =
-                                 sdds::LhOptions{}.scan_shard_min_records) {
+ScanNumbers RunStoreSearches(size_t corpus_size, size_t scan_threads) {
   core::EncryptedStore::Options opts;
   opts.params = core::SchemeParams{.codes_per_chunk = 4, .dispersal_sites = 2};
   opts.record_file.bucket_capacity = 64;
   opts.index_file.bucket_capacity = 128;
   opts.index_file.scan_threads = scan_threads;
-  opts.index_file.scan_shard_min_records = shard_min_records;
   auto store =
       core::EncryptedStore::Create(opts, ToBytes("perf-scan-key"), {});
   ESSDDS_CHECK(store.ok()) << store.status();
@@ -195,7 +190,6 @@ ScanNumbers RunStoreSearches(size_t corpus_size, size_t scan_threads,
       index_records * static_cast<double>(queries.size()) / elapsed;
   obs::MetricRegistry& metrics = (*store)->index_file().network().metrics();
   out.batch_tasks = metrics.histogram("scan.batch_tasks").Summarize();
-  out.batch_shards = metrics.histogram("scan.batch_shards").Summarize();
   return out;
 }
 
@@ -208,21 +202,17 @@ int Main() {
   const size_t threads = 0;  // thread support compiled out
 #endif
 
-  // Shard threshold for the sharded legs: low enough that the 128-capacity
-  // index buckets actually shard.
-  const size_t shard_min = 32;
-
   const MatcherNumbers m = RunMatcherContrast(corpus_size);
   const ScanNumbers serial = RunStoreSearches(corpus_size, 0);
   const ScanNumbers parallel = RunStoreSearches(corpus_size, threads);
-  const ScanNumbers sharded =
-      RunStoreSearches(corpus_size, threads, shard_min);
-
-  const bool hits_agree =
-      serial.hits == parallel.hits && serial.hits == sharded.hits;
+  const bool hits_agree = serial.hits == parallel.hits;
 
   JsonWriter w;
   w.BeginObject();
+  w.Key("machine").BeginObject();
+  w.KV("nproc", static_cast<uint64_t>(std::thread::hardware_concurrency()));
+  w.KV("build_type", ESSDDS_BUILD_TYPE);
+  w.EndObject();
   w.KV("corpus_records", static_cast<uint64_t>(corpus_size));
   w.Key("matcher").BeginObject();
   w.KV("index_records", static_cast<uint64_t>(m.records));
@@ -234,22 +224,15 @@ int Main() {
   w.EndObject();
   w.Key("search").BeginObject();
   w.KV("scan_threads", static_cast<uint64_t>(threads));
-  w.KV("shard_min_records", static_cast<uint64_t>(shard_min));
   w.KV("serial_ms_per_search", serial.ms_per_search, 2);
   w.KV("parallel_ms_per_search", parallel.ms_per_search, 2);
-  w.KV("sharded_ms_per_search", sharded.ms_per_search, 2);
   w.KV("serial_index_records_per_sec", serial.index_records_per_sec, 0);
   w.KV("parallel_index_records_per_sec", parallel.index_records_per_sec, 0);
-  w.KV("sharded_index_records_per_sec", sharded.index_records_per_sec, 0);
   w.KV("hits_agree", hits_agree);
-  // Batch-shape histograms of the measured phase (metrics builds only;
-  // zero-count objects with -DESSDDS_METRICS=OFF).
+  // Batch-shape histogram of the measured phase (metrics builds only; a
+  // zero-count object with -DESSDDS_METRICS=OFF).
   w.Key("parallel_batch_tasks");
   SummaryValue(w, parallel.batch_tasks);
-  w.Key("sharded_batch_tasks");
-  SummaryValue(w, sharded.batch_tasks);
-  w.Key("sharded_batch_shards");
-  SummaryValue(w, sharded.batch_shards);
   w.EndObject();
   w.EndObject();
   std::printf("%s\n", w.str().c_str());

@@ -17,8 +17,6 @@
 //   --latency=MIN:MAX  per-message latency range, microseconds of virtual time
 //   --drop=P           drop probability for client key traffic (0..1)
 //   --dup=P            duplicate probability for client key traffic (0..1)
-//   --shard-min=N      bucket record count above which index scans shard the
-//                      bucket across the worker pool (needs scan threads > 1)
 //
 // High availability (DESIGN.md §16; recovery needs --net=event):
 //
@@ -286,7 +284,6 @@ int main(int argc, char** argv) {
   size_t scan_threads = 0;
   size_t parity_k = 0;
   size_t parity_m = 0;
-  size_t shard_min = essdds::sdds::LhOptions{}.scan_shard_min_records;
   NetConfig net;
   std::string data_dir;
   bool fsync_logs = false;
@@ -299,10 +296,7 @@ int main(int argc, char** argv) {
   int positional = 0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--shard-min=", 0) == 0) {
-      shard_min = static_cast<size_t>(
-          std::strtoull(arg.c_str() + sizeof("--shard-min=") - 1, nullptr, 10));
-    } else if (arg.rfind("--parity=", 0) == 0) {
+    if (arg.rfind("--parity=", 0) == 0) {
       unsigned k = 0, m = 0;
       if (std::sscanf(arg.c_str() + sizeof("--parity=") - 1, "%u:%u", &k,
                       &m) != 2 ||
@@ -362,7 +356,6 @@ int main(int argc, char** argv) {
   options.record_file.bucket_capacity = 128;
   options.index_file.bucket_capacity = 512;
   options.index_file.scan_threads = scan_threads;
-  options.index_file.scan_shard_min_records = shard_min;
   for (essdds::sdds::LhOptions* file :
        {&options.record_file, &options.index_file}) {
     file->network_mode = net.mode;

@@ -57,7 +57,7 @@ class MatchScanFilter : public sdds::ScanFilter {
       return stream.ok() && matcher_.Matches(family, site, *stream);
     }
 
-    /// Streams the shard's records out of the packed arena in slice order
+    /// Streams the bucket's records out of the packed arena in slice order
     /// (ascending key). The class is final, so the per-record Matches call
     /// binds statically and inlines into this loop.
     void MatchColumns(const sdds::ColumnSlice& slice, size_t begin,

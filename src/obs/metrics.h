@@ -72,7 +72,7 @@ class Gauge {
 };
 
 /// Fixed-boundary log-scale histogram over uint64 samples (latencies in
-/// virtual microseconds, batch sizes, shard counts). Bucket 0 holds the
+/// virtual microseconds, batch sizes, task counts). Bucket 0 holds the
 /// value 0; bucket i (1..64) holds [2^(i-1), 2^i). Values beyond the last
 /// finite boundary land in the top bucket; `max` is tracked exactly, so a
 /// quantile estimate is never reported above the largest observed sample.

@@ -102,20 +102,12 @@ struct LhOptions {
   /// Worker threads for scan evaluation. Every bucket queues its scan
   /// evaluation off the messaging path; the batch runs on the network's
   /// persistent ScanWorkerPool and is replied in ascending bucket order.
-  /// With a value > 1 the pool evaluates buckets concurrently (workers
-  /// start lazily on the first parallel batch and serve every later one);
-  /// 0 (the default) and 1 run the batch serially on the draining thread.
-  /// Results and message/byte accounting do not depend on the value.
+  /// With a value > 1 the pool evaluates buckets concurrently, each bucket
+  /// whole on one thread (workers start lazily on the first parallel batch
+  /// and serve every later one); 0 (the default) and 1 run the batch
+  /// serially on the draining thread. Results and message/byte accounting
+  /// do not depend on the value.
   size_t scan_threads = 0;
-
-  /// Intra-bucket parallelism threshold: a scan task whose bucket
-  /// holds more than this many records is split into up to scan_threads
-  /// contiguous key-range shards evaluated concurrently, with shard hits
-  /// spliced back in ascending key order — results stay byte-identical to
-  /// the unsharded (and serial) evaluation. 0 shards every bucket with
-  /// more than one record; SIZE_MAX disables sharding. No effect when
-  /// scan_threads <= 1.
-  size_t scan_shard_min_records = 1024;
 
   /// Which network simulation carries the file's messages (see
   /// NetworkMode). kSync keeps the seed behaviour bit-for-bit.
@@ -244,11 +236,12 @@ class ScanFilter {
     /// Batch evaluation over a bucket's store slice: appends a
     /// WireRecord{key, payload} to `out` for every hit among records
     /// [begin, end), in ascending index (= ascending key) order. Every scan
-    /// runs through here — one virtual call per shard instead of one per
-    /// record, and the payloads stream out of a contiguous arena. The default walks Matches() per record;
-    /// filters with a batch engine (bit-parallel matchers) override it.
-    /// Must produce exactly the hits the per-record Matches() would — the
-    /// serial/pooled/sharded byte-identity bar depends on it.
+    /// runs through here with the whole slice, (0, slice.count) — one
+    /// virtual call per bucket instead of one per record, and the payloads
+    /// stream out of a contiguous arena. The default walks Matches() per
+    /// record; filters with a batch engine (bit-parallel matchers) override
+    /// it. Must produce exactly the hits the per-record Matches() would —
+    /// the serial/pooled byte-identity bar depends on it.
     virtual void MatchColumns(const ColumnSlice& slice, size_t begin,
                               size_t end, std::vector<WireRecord>* out) const {
       for (size_t i = begin; i < end; ++i) {

@@ -15,7 +15,6 @@ LhSystem::LhSystem(LhOptions options)
     network_ = std::make_unique<SimNetwork>();
   }
   network_->set_scan_threads(options_.scan_threads);
-  network_->set_scan_shard_min_records(options_.scan_shard_min_records);
   coordinator_site_ = network_->Register(&coordinator_);
   coordinator_.set_site(coordinator_site_);
 

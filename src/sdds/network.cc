@@ -115,7 +115,7 @@ void Network::DrainDeferredScans() {
 
   // Tasks a bucket already resolved ahead of a mutation carry their hits
   // and are skipped.
-  scan_pool().Run(batch, scan_shard_min_records_);
+  scan_pool().Run(batch);
   // Replies go out in ascending bucket order: the one deterministic order
   // independent of worker scheduling.
   std::stable_sort(batch.begin(), batch.end(),

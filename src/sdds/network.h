@@ -184,11 +184,6 @@ class Network {
   }
   size_t scan_threads() const { return scan_threads_; }
 
-  /// Bucket record count above which a scan task is split into contiguous
-  /// key-range shards evaluated concurrently (see LhOptions).
-  void set_scan_shard_min_records(size_t n) { scan_shard_min_records_ = n; }
-  size_t scan_shard_min_records() const { return scan_shard_min_records_; }
-
   /// Queues one bucket's evaluation of a scan of `filter` with argument
   /// `arg` (bucket servers, on kScan). The scan is compiled here, once:
   /// every task of the pending batch with the same filter and argument
@@ -249,7 +244,6 @@ class Network {
   };
 
   size_t scan_threads_ = 0;
-  size_t scan_shard_min_records_ = 1024;
   std::vector<ScanTask> pending_scans_;
   std::vector<PendingScan> pending_prepared_;
   std::unique_ptr<ScanWorkerPool> scan_pool_;

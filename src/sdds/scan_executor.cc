@@ -1,7 +1,5 @@
 #include "sdds/scan_executor.h"
 
-#include <algorithm>
-#include <iterator>
 #include <utility>
 
 #include "sdds/network.h"
@@ -81,67 +79,46 @@ ScanWorkerPool::ScanWorkerPool(size_t threads, obs::MetricRegistry* metrics)
     : threads_(threads) {
   if (metrics != nullptr) {
     batch_tasks_hist_ = &metrics->histogram("scan.batch_tasks");
-    batch_shards_hist_ = &metrics->histogram("scan.batch_shards");
   }
 }
 
-void ScanWorkerPool::EvaluateShard(Shard& shard) {
-  // One batch call over the index range; the filter walks the packed arena
-  // itself.
-  shard.task->prepared->MatchColumns(shard.task->columns, shard.begin,
-                                     shard.end, &shard.hits);
-}
-
-void ScanWorkerPool::Run(std::vector<ScanTask>& tasks,
-                         size_t shard_min_records) {
-  // Shard planning runs on the caller: snapshot checks, then contiguous
-  // index-range carving. Without parallel workers every task is one
-  // whole-bucket shard. Treat a threshold of 0 as 1 — shard everything
-  // with more than one record.
-  const size_t min_records = std::max<size_t>(shard_min_records, 1);
-  const size_t max_parts =
-      threads_compiled_in() ? std::max<size_t>(threads_, 1) : 1;
-  std::vector<Shard> shards;
-  std::vector<ScanTask*> planned;
-  for (ScanTask& task : tasks) {
+void ScanWorkerPool::Run(std::vector<ScanTask>& tasks) {
+  // Snapshot checks run here, on the caller, before any task is handed
+  // out. A task a bucket already resolved ahead of a mutation keeps its
+  // hits and is skipped: its snapshot is stale by design. A task without
+  // a Prepared is no work: ExecuteScanTask gives it the empty reply.
+  size_t pending = 0;
+  for (const ScanTask& task : tasks) {
     if (task.evaluated) continue;
     CheckSnapshotLive(task);
-    if (task.prepared == nullptr) {  // malformed argument: empty reply
-      task.evaluated = true;
-      continue;
-    }
-    // Equal record counts by index: exact balance for any key distribution
-    // (parts <= n, so every shard holds at least one record; an empty
-    // bucket is one empty shard). Ranges are contiguous and ascending, so
-    // the splice below reassembles the reply in ascending key order.
-    const size_t n = task.columns.count;
-    size_t parts = 1;
-    if (n > min_records) {
-      parts = std::min(max_parts, (n + min_records - 1) / min_records);
-    }
-    for (size_t s = 0; s < parts; ++s) {
-      Shard shard;
-      shard.task = &task;
-      shard.begin = n * s / parts;
-      shard.end = n * (s + 1) / parts;
-      shards.push_back(std::move(shard));
-    }
-    planned.push_back(&task);
+    if (task.prepared != nullptr) ++pending;
   }
-  if (batch_tasks_hist_ != nullptr) {
-    batch_tasks_hist_->Record(planned.size());
-    batch_shards_hist_->Record(shards.size());
+  if (batch_tasks_hist_ != nullptr) batch_tasks_hist_->Record(pending);
+#if ESSDDS_THREADS
+  if (threads_ > 1 && pending > 1) {
+    StartWorkers();
+    auto state = std::make_shared<BatchState>();
+    state->tasks = tasks.data();
+    state->total = tasks.size();
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      batch_ = state;
+      ++batch_seq_;
+    }
+    work_cv_.notify_all();
+    // The caller evaluates too: it claims tasks alongside the workers
+    // rather than sleeping while they drain the queue — a small batch often
+    // completes entirely on this thread before a worker even wakes.
+    DrainTasks(*state);
+    std::unique_lock<std::mutex> lock(mu_);
+    done_cv_.wait(lock, [&] {
+      return state->done.load(std::memory_order_acquire) == state->total;
+    });
+    batch_.reset();
+    return;
   }
-  RunBatch(shards);
-  // Splice: shards were planned in task order with ascending key ranges,
-  // so a straight append reassembles each reply in ascending key order —
-  // byte-identical to a whole-bucket evaluation.
-  for (Shard& shard : shards) {
-    auto& out = shard.task->reply.records;
-    out.insert(out.end(), std::make_move_iterator(shard.hits.begin()),
-               std::make_move_iterator(shard.hits.end()));
-  }
-  for (ScanTask* task : planned) task->evaluated = true;
+#endif
+  for (ScanTask& task : tasks) ExecuteScanTask(task);
 }
 
 #if ESSDDS_THREADS
@@ -165,15 +142,15 @@ void ScanWorkerPool::StartWorkers() {
   }
 }
 
-void ScanWorkerPool::DrainShards(BatchState& state) {
+void ScanWorkerPool::DrainTasks(BatchState& state) {
   // Lock-free claims. A ticket < total implies the batch is still in
-  // flight (its caller cannot leave RunBatch before `done` reaches total),
-  // so the shard array behind it is alive; an exhausted ticket touches
-  // nothing but the batch-local atomics.
+  // flight (its caller cannot leave Run before `done` reaches total), so
+  // the task array behind it is alive; an exhausted ticket touches nothing
+  // but the batch-local atomics.
   for (size_t i = state.next.fetch_add(1, std::memory_order_relaxed);
        i < state.total;
        i = state.next.fetch_add(1, std::memory_order_relaxed)) {
-    EvaluateShard(state.shards[i]);
+    ExecuteScanTask(state.tasks[i]);
     if (state.done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
         state.total) {
       // Empty critical section: a waiter that saw `done` short is either
@@ -198,7 +175,7 @@ void ScanWorkerPool::WorkerLoop() {
     // it drains only this batch's tickets (see BatchState).
     std::shared_ptr<BatchState> state = batch_;
     lock.unlock();
-    DrainShards(*state);
+    DrainTasks(*state);
     lock.lock();
   }
 }
@@ -210,33 +187,5 @@ ScanWorkerPool::~ScanWorkerPool() = default;
 size_t ScanWorkerPool::started_workers() const { return 0; }
 
 #endif  // ESSDDS_THREADS
-
-void ScanWorkerPool::RunBatch(std::vector<Shard>& shards) {
-#if ESSDDS_THREADS
-  if (threads_ > 1 && shards.size() > 1) {
-    StartWorkers();
-    auto state = std::make_shared<BatchState>();
-    state->shards = shards.data();
-    state->total = shards.size();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      batch_ = state;
-      ++batch_seq_;
-    }
-    work_cv_.notify_all();
-    // The caller evaluates too: it claims shards alongside the workers
-    // rather than sleeping while they drain the queue — a small batch often
-    // completes entirely on this thread before a worker even wakes.
-    DrainShards(*state);
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [&] {
-      return state->done.load(std::memory_order_acquire) == state->total;
-    });
-    batch_.reset();
-    return;
-  }
-#endif
-  for (Shard& shard : shards) EvaluateShard(shard);
-}
 
 }  // namespace essdds::sdds

@@ -79,29 +79,31 @@ ScanTask MakeScanTask(const Message& msg, uint64_t bucket, uint32_t level,
 /// Evaluates one task on the calling thread with its attached Prepared,
 /// filling task.reply.records with the hits in ascending key order (the
 /// store's order — deterministic regardless of execution order). No-op
-/// when the task is already evaluated.
+/// when the task is already evaluated; a task without a Prepared gets the
+/// empty reply. The one evaluation routine: the pool's workers, a bucket
+/// resolving its tasks ahead of a mutation (Network::ResolveDeferredScans)
+/// and the parity proxy's degraded scan all run it.
 void ExecuteScanTask(ScanTask& task);
 
 /// Long-lived fixed-size worker pool for scan evaluation. One instance is
-/// owned by each Network and reused across every scan batch, replacing the
-/// old spawn-threads-per-batch executor: workers block on a condition
-/// variable between batches, so a scan pays queue signalling instead of
-/// thread creation. Within a batch, shard claims are lock-free and the
-/// calling thread evaluates shards alongside the workers, so small batches
-/// complete without a single context switch.
+/// owned by each Network and reused across every scan batch: workers block
+/// on a condition variable between batches, so a scan pays queue
+/// signalling instead of thread creation. The unit of work is one task —
+/// one bucket's evaluation, as in the LH* parallel scan. Within a batch,
+/// task claims are lock-free and the calling thread evaluates tasks
+/// alongside the workers, so small batches complete without a single
+/// context switch.
 ///
-/// Sharding: Run() splits any task whose bucket holds more than
-/// `shard_min_records` records into up to `thread_count()` contiguous index
-/// ranges of its slice, evaluated concurrently, then splices the shard hits
-/// back in ascending key order — so serial, pooled, and sharded execution
-/// produce byte-identical replies.
+/// Determinism: each task is evaluated whole by exactly one thread and
+/// writes only its own reply, in the store's ascending key order, so
+/// serial and pooled execution produce byte-identical replies whatever
+/// the claim order.
 ///
 /// Lifecycle: construction is cheap and spawns nothing; workers start
 /// lazily on the first batch that can use them and are joined by the
 /// destructor (clean shutdown, no detached threads). With `threads` <= 1,
-/// or in a build without thread support (ESSDDS_THREADS off), every task
-/// is one whole-bucket shard, the batch runs serially on the caller and no
-/// worker ever starts.
+/// or in a build without thread support (ESSDDS_THREADS off), the batch
+/// runs serially on the caller and no worker ever starts.
 ///
 /// Thread safety: Run() is driven from the single-threaded messaging path;
 /// concurrent Run() calls are not supported (nor possible — the simulator
@@ -109,27 +111,16 @@ void ExecuteScanTask(ScanTask& task);
 /// them.
 class ScanWorkerPool {
  public:
-  /// `metrics`, when given, receives the pool's batch-shape histograms
-  /// ("scan.batch_tasks", "scan.batch_shards" — how many buckets each drain
-  /// batched and how finely they sharded); must outlive the pool. The
-  /// instruments are resolved once here, on the driver thread, per the
-  /// registry's thread contract.
+  /// `metrics`, when given, receives the pool's batch-shape histogram
+  /// ("scan.batch_tasks" — how many buckets each drain evaluated); must
+  /// outlive the pool. The instrument is resolved once here, on the driver
+  /// thread, per the registry's thread contract.
   explicit ScanWorkerPool(size_t threads,
                           obs::MetricRegistry* metrics = nullptr);
   ~ScanWorkerPool();
 
   ScanWorkerPool(const ScanWorkerPool&) = delete;
   ScanWorkerPool& operator=(const ScanWorkerPool&) = delete;
-
-  /// True when the build carries thread support; false means Run() always
-  /// evaluates serially on the caller and no worker can ever start.
-  static constexpr bool threads_compiled_in() {
-#if ESSDDS_THREADS
-    return true;
-#else
-    return false;
-#endif
-  }
 
   /// Configured pool size (evaluators used for a parallel batch).
   size_t thread_count() const { return threads_; }
@@ -138,55 +129,39 @@ class ScanWorkerPool {
   /// thread_count() for the pool's lifetime.
   size_t started_workers() const;
 
-  /// Evaluates every not-yet-evaluated task with its attached Prepared and
-  /// returns once all replies are filled. Tasks run on the pool (sharded
-  /// per the threshold) when the pool is parallel, serially on the caller
-  /// otherwise; results are byte-identical either way.
-  void Run(std::vector<ScanTask>& tasks, size_t shard_min_records);
+  /// Evaluates every not-yet-evaluated task with ExecuteScanTask and
+  /// returns once all replies are filled: on the pool when it is parallel
+  /// and more than one task is pending, serially on the caller otherwise.
+  /// The snapshot check of every pending task runs here, on the caller,
+  /// before any task is handed out.
+  void Run(std::vector<ScanTask>& tasks);
 
  private:
-  /// One contiguous index range [begin, end) of a task's slice, with its
-  /// own hit vector so workers never contend on the reply.
-  struct Shard {
-    ScanTask* task = nullptr;
-    size_t begin = 0;
-    size_t end = 0;
-    std::vector<WireRecord> hits;
-  };
-
-  static void EvaluateShard(Shard& shard);
-
-  /// Evaluates every shard: on the workers and the caller together when
-  /// the pool is parallel and the batch has more than one shard, serially
-  /// on the caller otherwise.
-  void RunBatch(std::vector<Shard>& shards);
-
 #if ESSDDS_THREADS
   /// Per-batch claim state, heap-allocated and shared with every worker
   /// that wakes for the batch. Owning the claim tickets batch-locally (not
   /// as reusable pool members) makes stragglers harmless: a worker
   /// descheduled past its whole batch drains a state whose tickets are
-  /// already exhausted — it can never claim shards of a later batch, and
-  /// the shared_ptr keeps the state alive however late it runs. The shard
-  /// array itself lives in Run()'s frame; a participant dereferences it
-  /// only for a ticket < total, which implies the batch (and so the frame)
-  /// is still in flight.
+  /// already exhausted — it can never claim tasks of a later batch, and
+  /// the shared_ptr keeps the state alive however late it runs. The task
+  /// array itself is the caller's; a participant dereferences it only for
+  /// a ticket < total, which implies the batch is still in flight.
   struct BatchState {
-    Shard* shards = nullptr;
+    ScanTask* tasks = nullptr;
     size_t total = 0;
-    std::atomic<size_t> next{0};  // shard claim ticket
-    std::atomic<size_t> done{0};  // completed-shard count
+    std::atomic<size_t> next{0};  // task claim ticket
+    std::atomic<size_t> done{0};  // completed-task count
   };
 
   void StartWorkers();
   void WorkerLoop();
 
-  /// Claims and evaluates shards until the batch's tickets run out; run by
+  /// Claims and evaluates tasks until the batch's tickets run out; run by
   /// the workers AND by the batch caller (the caller evaluates alongside
   /// the pool instead of sleeping). Claims are lock-free — the mutex guards
-  /// only batch publication and completion signalling, so the per-shard
+  /// only batch publication and completion signalling, so the per-task
   /// path never sleeps on contention.
-  void DrainShards(BatchState& state);
+  void DrainTasks(BatchState& state);
 
   std::mutex mu_;
   std::condition_variable work_cv_;  // workers sleep here between batches
@@ -200,10 +175,9 @@ class ScanWorkerPool {
   bool shutdown_ = false;
 #endif
   const size_t threads_;
-  // Batch-shape histograms (null when no registry was attached). Recorded
+  // Batch-shape histogram (null when no registry was attached). Recorded
   // by Run() on the driver thread.
   obs::Histogram* batch_tasks_hist_ = nullptr;
-  obs::Histogram* batch_shards_hist_ = nullptr;
 };
 
 }  // namespace essdds::sdds

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <limits>
 #include <memory>
 #include <ostream>
 #include <set>
@@ -469,18 +468,17 @@ TEST(EncryptedStoreTest, MalformedIndexRecordsMatchNothingAtTheSite) {
   }
 }
 
-TEST(EncryptedStoreTest, ShardedIndexScanThresholdSweepMatchesSerial) {
-  // Full-scheme leg of the shard-threshold sweep: whatever the intra-bucket
-  // sharding threshold, pooled index scans must reproduce the serial build
-  // exactly — rids, per-stage stats, and network accounting.
-  auto run = [](size_t scan_threads, size_t shard_min) {
+TEST(EncryptedStoreTest, PooledIndexScanThreadSweepMatchesSerial) {
+  // Full-scheme leg of the thread-count sweep: whatever the pool size,
+  // pooled index scans must reproduce the serial build exactly — rids,
+  // per-stage stats, and network accounting.
+  auto run = [](size_t scan_threads) {
     SchemeParams p{.codes_per_chunk = 4, .dispersal_sites = 2};
     EncryptedStore::Options opts;
     opts.params = p;
     opts.record_file.bucket_capacity = 16;
     opts.index_file.bucket_capacity = 32;
     opts.index_file.scan_threads = scan_threads;
-    opts.index_file.scan_shard_min_records = shard_min;
     auto store = EncryptedStore::Create(opts, Master(), {});
     EXPECT_TRUE(store.ok()) << store.status();
 
@@ -509,20 +507,18 @@ TEST(EncryptedStoreTest, ShardedIndexScanThresholdSweepMatchesSerial) {
     return out;
   };
 
-  const auto serial = run(0, sdds::LhOptions{}.scan_shard_min_records);
+  const auto serial = run(0);
   EXPECT_GT(serial.stats.rids_final, 0u) << "queries matched nothing";
-  for (size_t shard_min :
-       {size_t{1}, size_t{2}, size_t{7}, size_t{64},
-        std::numeric_limits<size_t>::max()}) {
-    SCOPED_TRACE("shard_min " + std::to_string(shard_min));
-    const auto sharded = run(4, shard_min);
-    EXPECT_EQ(serial.rids, sharded.rids);
+  for (size_t scan_threads : {size_t{2}, size_t{4}, size_t{8}}) {
+    SCOPED_TRACE("scan_threads " + std::to_string(scan_threads));
+    const auto pooled = run(scan_threads);
+    EXPECT_EQ(serial.rids, pooled.rids);
     EXPECT_EQ(serial.stats.candidate_index_records,
-              sharded.stats.candidate_index_records);
+              pooled.stats.candidate_index_records);
     EXPECT_EQ(serial.stats.families_confirmed,
-              sharded.stats.families_confirmed);
-    EXPECT_EQ(serial.stats.rids_final, sharded.stats.rids_final);
-    EXPECT_EQ(serial.net, sharded.net);
+              pooled.stats.families_confirmed);
+    EXPECT_EQ(serial.stats.rids_final, pooled.stats.rids_final);
+    EXPECT_EQ(serial.net, pooled.net);
   }
 }
 

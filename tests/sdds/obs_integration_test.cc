@@ -109,7 +109,6 @@ TEST(ObsIntegrationTest, ScanBatchHistogramsRecordInDeferredMode) {
   LhOptions o;
   o.bucket_capacity = 8;
   o.scan_threads = 4;
-  o.scan_shard_min_records = 0;  // shard every bucket with > 1 record
   LhSystem sys(o);
   const uint64_t filter = sys.InstallFilter(
       [](uint64_t, ByteSpan, ByteSpan) { return true; });
@@ -122,10 +121,6 @@ TEST(ObsIntegrationTest, ScanBatchHistogramsRecordInDeferredMode) {
   ASSERT_GE(m.histogram("scan.batch_tasks").count(), 1u);
   EXPECT_GE(m.histogram("scan.batch_tasks").max(),
             static_cast<uint64_t>(scan.buckets_answered));
-  ASSERT_GE(m.histogram("scan.batch_shards").count(), 1u);
-  EXPECT_GE(m.histogram("scan.batch_shards").max(),
-            m.histogram("scan.batch_tasks").max())
-      << "sharding never produces fewer execution units than tasks";
 }
 
 // ---------------------------------------------------------------------------

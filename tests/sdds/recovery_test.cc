@@ -676,24 +676,21 @@ TEST(RecoveryTest, DegradedReadsAndScansServeDuringRebuildHold) {
 }
 
 TEST(RecoveryTest, DegradedScanModesAgreeByteForByte) {
-  // Serial, pooled, and sharded scan execution over a file with one dead
-  // group member must return identical, complete hit sets: degraded
-  // evaluation happens inline at the proxy regardless of executor mode,
-  // and the live buckets answer through their usual mode-specific path.
+  // Serial and pooled scan execution over a file with one dead group
+  // member must return identical, complete hit sets: degraded evaluation
+  // happens inline at the proxy regardless of executor mode, and the live
+  // buckets answer through their usual mode-specific path.
   std::vector<std::vector<std::pair<uint64_t, Bytes>>> results;
   struct ModeSpec {
     size_t threads;
-    size_t shard_min;
     const char* name;
   };
-  const ModeSpec modes[] = {
-      {0, 0, "serial"}, {4, 0, "pooled"}, {4, 1, "sharded"}};
+  const ModeSpec modes[] = {{0, "serial"}, {4, "pooled"}};
   for (const ModeSpec& mode : modes) {
     SCOPED_TRACE(mode.name);
     LhOptions o = RecoveryOptions(/*seed=*/32);
     o.recovery_hold_us = 10'000'000;
     o.scan_threads = mode.threads;
-    o.scan_shard_min_records = mode.shard_min;
     LhSystem sys(o);
     LhClient* c = sys.NewClient();
     for (uint64_t key = 1; key <= 48; ++key) {
@@ -726,7 +723,6 @@ TEST(RecoveryTest, DegradedScanModesAgreeByteForByte) {
     results.push_back(std::move(hits));
   }
   EXPECT_EQ(results[0], results[1]) << "pooled diverged from serial";
-  EXPECT_EQ(results[0], results[2]) << "sharded diverged from serial";
 }
 
 // ---------------------------------------------------------------------

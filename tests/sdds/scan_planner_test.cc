@@ -1,9 +1,9 @@
-// Shard-planner battery: the index-range carve over a bucket's store must
-// survive degenerate key distributions — keys pinned at 0 and UINT64_MAX,
-// tight clusters, heavy skew, consecutive keys, single records — without
-// crashing, double-covering, or dropping records, and splice back
-// byte-identically to a plain predicate walk over the same records at
-// every thread count and shard threshold.
+// Key-distribution battery for scan evaluation: a bucket's store under
+// degenerate key distributions — keys pinned at 0 and UINT64_MAX, tight
+// clusters, heavy skew, consecutive keys, single records — must scan
+// without crashing, double-covering, or dropping records, byte-identically
+// to a plain predicate walk over the same records, serially and on the
+// worker pool at every thread count.
 
 #include <limits>
 #include <map>
@@ -32,9 +32,9 @@ std::unique_ptr<ScanFilter> SelectiveFilter() {
   });
 }
 
-/// The distributions most likely to trip a shard planner. Each returns the
-/// record map; the sweep runs every (distribution, thread count, shard
-/// threshold) combination against the predicate-walk oracle.
+/// The distributions most likely to trip a range walk over the store. Each
+/// returns the record map; the sweep runs every (distribution, thread
+/// count) combination against the predicate-walk oracle.
 std::vector<std::pair<std::string, std::map<uint64_t, Bytes>>>
 ExtremeDistributions() {
   constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
@@ -50,7 +50,7 @@ ExtremeDistributions() {
   add("single_zero", {0});
   add("single_max", {kMax});
   add("both_extremes", {0, kMax});
-  // Full-span with all interior boundaries collapsing onto one record.
+  // Full span with one record at each end and one in the middle.
   add("extremes_and_midpoint", {0, kMax / 2, kMax});
   {
     std::vector<uint64_t> keys;  // tight cluster far from the origin
@@ -63,8 +63,7 @@ ExtremeDistributions() {
     add("consecutive", std::move(keys));
   }
   {
-    // One outlier at kMax drags the span: every interior boundary lands
-    // past the cluster, so all but the first and last ranges are empty.
+    // One outlier at kMax drags the key span far past the cluster.
     std::vector<uint64_t> keys;
     for (uint64_t k = 0; k < 50; ++k) keys.push_back(k);
     keys.push_back(kMax);
@@ -136,15 +135,16 @@ TEST(ScanPlannerTest, ExtremeKeyDistributionsMatchSerial) {
       ExpectSameHits(task.reply.records, expected, name + " serial");
     }
     for (const size_t threads : {2u, 4u, 8u, 16u}) {
-      for (const size_t shard_min : {0u, 1u, 2u, 7u, 1000u}) {
-        ScanWorkerPool pool(threads);
-        const std::string label = name + " threads=" +
-                                  std::to_string(threads) + " shard_min=" +
-                                  std::to_string(shard_min);
-        std::vector<ScanTask> tasks;
-        tasks.push_back(MakeTask(columns, prepared.get()));
-        pool.Run(tasks, shard_min);
-        ExpectSameHits(tasks[0].reply.records, expected, label);
+      // Two tasks over the same store, so a parallel pool hands them out.
+      ScanWorkerPool pool(threads);
+      std::vector<ScanTask> tasks;
+      tasks.push_back(MakeTask(columns, prepared.get()));
+      tasks.push_back(MakeTask(columns, prepared.get()));
+      pool.Run(tasks);
+      for (size_t t = 0; t < tasks.size(); ++t) {
+        ExpectSameHits(tasks[t].reply.records, expected,
+                       name + " threads=" + std::to_string(threads) +
+                           " task " + std::to_string(t));
       }
     }
   }
@@ -152,8 +152,7 @@ TEST(ScanPlannerTest, ExtremeKeyDistributionsMatchSerial) {
 
 TEST(ScanPlannerTest, MatchAllKeepsEveryRecordExactlyOnce) {
   // With a pass-everything filter the reply must be the whole map, in key
-  // order, regardless of how the shards were carved — a dropped or
-  // double-covered range shows up immediately here.
+  // order — a dropped or double-covered record shows up immediately here.
   const auto distributions = ExtremeDistributions();
   const std::unique_ptr<ScanFilter> filter = SelectiveFilter();
   const std::unique_ptr<ScanFilter::Prepared> prepared = filter->Prepare({});
@@ -163,7 +162,7 @@ TEST(ScanPlannerTest, MatchAllKeepsEveryRecordExactlyOnce) {
     ScanWorkerPool pool(8);
     std::vector<ScanTask> tasks;
     tasks.push_back(MakeTask(columns, prepared.get()));
-    pool.Run(tasks, 1);
+    pool.Run(tasks);
     const auto& hits = tasks[0].reply.records;
     ASSERT_EQ(hits.size(), records.size()) << name;
     size_t i = 0;

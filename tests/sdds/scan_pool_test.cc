@@ -1,12 +1,12 @@
 // Persistent scan worker pool battery: lifecycle stress (repeated
 // start/run/destroy cycles, lazy start, never-started pools), determinism
-// (pool size 1 and every shard threshold bit-for-bit equal to serial
-// evaluation), oversubscription in both directions, empty batches, the
-// ESSDDS_THREADS=OFF serial-fallback guarantee, one Prepare() per scan at
-// every pool size, and the queued-scan snapshot contract under scripted
-// pause/scan/split interleavings on the event network.
+// (every pool size bit-for-bit equal to serial evaluation), batches mixing
+// resolved, malformed and empty tasks, oversubscription in both
+// directions, empty batches, the ESSDDS_THREADS=OFF serial-fallback
+// guarantee, one Prepare() per scan at every pool size, and the queued-scan
+// snapshot contract under scripted pause/scan/split interleavings on the
+// event network.
 
-#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "sdds/column_store.h"
 #include "sdds/event_network.h"
 #include "sdds/lh_system.h"
@@ -24,8 +25,6 @@
 
 namespace essdds::sdds {
 namespace {
-
-constexpr size_t kNoShard = std::numeric_limits<size_t>::max();
 
 Bytes Val(uint64_t k) { return ToBytes("value-" + std::to_string(k)); }
 
@@ -87,20 +86,20 @@ std::vector<std::vector<WireRecord>> SerialHits(
 }
 
 void ExpectPoolMatchesSerial(
-    ScanWorkerPool& pool, size_t shard_min,
-    const std::vector<std::map<uint64_t, Bytes>>& buckets,
+    ScanWorkerPool& pool, const std::vector<std::map<uint64_t, Bytes>>& buckets,
     const ScanFilter& filter, const Bytes& arg,
     const std::vector<std::vector<WireRecord>>& expected) {
   std::vector<ColumnStore> stores(buckets.size());
   for (size_t b = 0; b < buckets.size(); ++b) stores[b].Adopt(buckets[b]);
   const std::unique_ptr<ScanFilter::Prepared> prepared = filter.Prepare(arg);
   std::vector<ScanTask> tasks = MakeBatch(stores, prepared.get());
-  pool.Run(tasks, shard_min);
+  pool.Run(tasks);
   ASSERT_EQ(tasks.size(), expected.size());
   for (size_t t = 0; t < tasks.size(); ++t) {
     EXPECT_TRUE(tasks[t].evaluated) << "task " << t;
     EXPECT_EQ(tasks[t].reply.records, expected[t])
-        << "task " << t << " diverged (shard_min=" << shard_min << ")";
+        << "task " << t << " diverged (pool of " << pool.thread_count()
+        << ")";
   }
 }
 
@@ -115,29 +114,87 @@ TEST(ScanPoolTest, PoolSizeOneMatchesSerialBitForBit) {
   ASSERT_GT(total, 0u) << "filter selected nothing";
 
   ScanWorkerPool pool(1);
-  for (size_t shard_min : {size_t{0}, size_t{1}, size_t{16}, kNoShard}) {
-    ExpectPoolMatchesSerial(pool, shard_min, buckets, *filter, arg, expected);
+  for (int batch = 0; batch < 3; ++batch) {
+    ExpectPoolMatchesSerial(pool, buckets, *filter, arg, expected);
   }
   // A size-1 pool is the serial path: no worker ever starts.
   EXPECT_EQ(pool.started_workers(), 0u);
 }
 
-TEST(ScanPoolTest, ShardThresholdSweepMatchesSerialAtTaskLevel) {
-  // One large and one tiny bucket, so every threshold exercises both the
-  // sharded and the unsharded branch in the same batch.
+TEST(ScanPoolTest, ThreadCountSweepMatchesSerialAtTaskLevel) {
+  // Buckets of very different sizes in one batch, so the claim order
+  // varies with the pool size while each reply must not.
   std::vector<std::map<uint64_t, Bytes>> buckets;
   buckets.push_back(BuildRecords(700, 11));
   buckets.push_back(BuildRecords(3, 12));
   buckets.push_back(BuildRecords(256, 13));
+  buckets.push_back(BuildRecords(1, 14));
+  buckets.push_back(BuildRecords(90, 15));
   auto filter = SelectiveFilter();
   for (const Bytes& arg : {Bytes{}, ToBytes("b")}) {
     const auto expected = SerialHits(buckets, *filter, arg);
-    for (size_t threads : {size_t{2}, size_t{4}, size_t{16}}) {
+    for (size_t threads : {size_t{0}, size_t{2}, size_t{3}, size_t{4},
+                           size_t{8}, size_t{16}}) {
       ScanWorkerPool pool(threads);
-      for (size_t shard_min :
-           {size_t{0}, size_t{1}, size_t{2}, size_t{7}, size_t{64}, kNoShard}) {
-        ExpectPoolMatchesSerial(pool, shard_min, buckets, *filter, arg,
-                                expected);
+      for (int batch = 0; batch < 3; ++batch) {
+        ExpectPoolMatchesSerial(pool, buckets, *filter, arg, expected);
+      }
+    }
+  }
+}
+
+// One batch mixing every kind of task the drain can hold: a task its
+// bucket already resolved ahead of a mutation (hits present), a malformed
+// scan (no Prepared), an empty bucket, and ordinary tasks. Each must end
+// evaluated exactly once. Once the mutation has landed, the resolved
+// task's snapshot is stale by design and must not be checked either.
+TEST(ScanPoolTest, MixedBatchEvaluatesEveryTaskExactlyOnce) {
+  constexpr size_t kResolved = 0, kMalformed = 1, kEmpty = 2;
+  std::vector<std::map<uint64_t, Bytes>> buckets;
+  buckets.push_back(BuildRecords(60, 61));
+  buckets.push_back(BuildRecords(40, 62));
+  buckets.emplace_back();
+  for (uint64_t b = 0; b < 5; ++b) buckets.push_back(BuildRecords(50, 70 + b));
+  std::vector<ColumnStore> stores(buckets.size());
+  for (size_t b = 0; b < buckets.size(); ++b) stores[b].Adopt(buckets[b]);
+  auto filter = SelectiveFilter();
+  const Bytes arg = ToBytes("e");
+  const auto expected = SerialHits(buckets, *filter, arg);
+  ASSERT_FALSE(expected[kResolved].empty());
+  ASSERT_FALSE(expected[kMalformed].empty());
+  const std::unique_ptr<ScanFilter::Prepared> prepared = filter->Prepare(arg);
+
+  for (const bool mutation_landed : {false, true}) {
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+      SCOPED_TRACE("pool of " + std::to_string(threads) +
+                   (mutation_landed ? ", mutation landed" : ""));
+      obs::MetricRegistry metrics;
+      ScanWorkerPool pool(threads, &metrics);
+      std::vector<uint64_t> generations(buckets.size(), 1);
+      std::vector<ScanTask> tasks = MakeBatch(stores, prepared.get());
+      for (size_t t = 0; t < tasks.size(); ++t) {
+        tasks[t].live_generation = &generations[t];
+        tasks[t].enqueue_generation = generations[t];
+      }
+      tasks[kMalformed].prepared = nullptr;
+      ExecuteScanTask(tasks[kResolved]);
+      if (mutation_landed) ++generations[kResolved];
+
+      pool.Run(tasks);
+      for (size_t t = 0; t < tasks.size(); ++t) {
+        EXPECT_TRUE(tasks[t].evaluated) << "task " << t;
+        if (t == kMalformed) {
+          EXPECT_TRUE(tasks[t].reply.records.empty())
+              << "a task without a Prepared must reply empty";
+        } else {
+          EXPECT_EQ(tasks[t].reply.records, expected[t]) << "task " << t;
+        }
+      }
+      EXPECT_TRUE(tasks[kEmpty].reply.records.empty());
+      if (obs::kMetricsEnabled) {
+        EXPECT_EQ(metrics.histogram("scan.batch_tasks").max(),
+                  tasks.size() - 2)
+            << "the resolved and the malformed task are no work";
       }
     }
   }
@@ -154,8 +211,7 @@ TEST(ScanPoolTest, RepeatedStartRunDestroyCyclesAreClean) {
     ScanWorkerPool pool(4);
     EXPECT_EQ(pool.started_workers(), 0u) << "pool must start lazily";
     for (int batch = 0; batch < 3; ++batch) {
-      ExpectPoolMatchesSerial(pool, /*shard_min=*/8, buckets, *filter, arg,
-                              expected);
+      ExpectPoolMatchesSerial(pool, buckets, *filter, arg, expected);
     }
     // Destructor joins the workers; the next cycle builds a fresh pool.
   }
@@ -176,23 +232,20 @@ TEST(ScanPoolTest, OversubscriptionInBothDirections) {
   few.push_back(BuildRecords(8, 8));
   const auto few_expected = SerialHits(few, *filter, arg);
   ScanWorkerPool wide(32);
-  ExpectPoolMatchesSerial(wide, /*shard_min=*/1, few, *filter, arg,
-                          few_expected);
+  ExpectPoolMatchesSerial(wide, few, *filter, arg, few_expected);
 
-  // Tasks >> threads: 2 workers, 48 buckets (plus sharding pressure).
+  // Tasks >> threads: 2 workers, 48 buckets.
   std::vector<std::map<uint64_t, Bytes>> many;
   for (uint64_t b = 0; b < 48; ++b) many.push_back(BuildRecords(30, 100 + b));
   const auto many_expected = SerialHits(many, *filter, arg);
   ScanWorkerPool narrow(2);
-  ExpectPoolMatchesSerial(narrow, /*shard_min=*/1, many, *filter, arg,
-                          many_expected);
+  ExpectPoolMatchesSerial(narrow, many, *filter, arg, many_expected);
 }
 
 TEST(ScanPoolTest, EmptyBatchesAndEmptyBucketsDoNotDeadlock) {
   ScanWorkerPool pool(4);
   std::vector<ScanTask> none;
-  pool.Run(none, 0);
-  pool.Run(none, kNoShard);
+  pool.Run(none);
   EXPECT_EQ(pool.started_workers(), 0u) << "empty batch must not start workers";
 
   // A task over an empty bucket.
@@ -200,7 +253,7 @@ TEST(ScanPoolTest, EmptyBatchesAndEmptyBucketsDoNotDeadlock) {
   std::vector<std::map<uint64_t, Bytes>> buckets(3);
   buckets[1] = BuildRecords(20, 5);
   const auto expected = SerialHits(buckets, *filter, {});
-  ExpectPoolMatchesSerial(pool, 0, buckets, *filter, {}, expected);
+  ExpectPoolMatchesSerial(pool, buckets, *filter, {}, expected);
 
   // System level: draining with nothing queued is a no-op, and scanning an
   // empty file answers one empty bucket.
@@ -221,16 +274,13 @@ TEST(ScanPoolTest, ThreadSupportGateCompilesPoolToSerialPath) {
   const auto expected = SerialHits(buckets, *filter, {});
 
   ScanWorkerPool pool(4);
-  ExpectPoolMatchesSerial(pool, /*shard_min=*/1, buckets, *filter, {},
-                          expected);
+  ExpectPoolMatchesSerial(pool, buckets, *filter, {}, expected);
 #if ESSDDS_THREADS
-  EXPECT_TRUE(ScanWorkerPool::threads_compiled_in());
   EXPECT_EQ(pool.started_workers(), 4u)
       << "a parallel batch must have started the full pool";
 #else
   // Thread support compiled out: the pool IS the serial path — identical
   // results (asserted above) with no worker ever created.
-  EXPECT_FALSE(ScanWorkerPool::threads_compiled_in());
   EXPECT_EQ(pool.started_workers(), 0u);
 #endif
 }
@@ -239,10 +289,8 @@ TEST(ScanPoolTest, ThreadSupportGateCompilesPoolToSerialPath) {
 
 /// One LH* file plus a selective filter and a deterministic workload.
 struct Workload {
-  explicit Workload(size_t scan_threads, size_t shard_min = 1024)
-      : sys(LhOptions{.bucket_capacity = 8,
-                      .scan_threads = scan_threads,
-                      .scan_shard_min_records = shard_min}),
+  explicit Workload(size_t scan_threads)
+      : sys(LhOptions{.bucket_capacity = 8, .scan_threads = scan_threads}),
         client(sys.NewClient()) {
     filter_id =
         sys.InstallFilter([](uint64_t key, ByteSpan value, ByteSpan arg) {
@@ -265,7 +313,7 @@ struct Workload {
   uint64_t filter_id = 0;
 };
 
-TEST(ScanPoolTest, SystemShardThresholdSweepMatchesSerial) {
+TEST(ScanPoolTest, SystemThreadCountSweepMatchesSerial) {
   Workload serial(0);
   serial.Fill(1500, 77);
   serial.sys.network().ResetStats();
@@ -274,23 +322,22 @@ TEST(ScanPoolTest, SystemShardThresholdSweepMatchesSerial) {
   const NetworkStats expected_stats = serial.sys.network().stats();
   ASSERT_GT(expected.hits.size(), 0u);
 
-  for (size_t shard_min :
-       {size_t{1}, size_t{2}, size_t{7}, size_t{64}, kNoShard}) {
-    SCOPED_TRACE("shard_min " + std::to_string(shard_min));
-    Workload sharded(4, shard_min);
-    sharded.Fill(1500, 77);
-    sharded.sys.network().ResetStats();
-    const auto got = sharded.client->Scan(sharded.filter_id, arg);
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+    SCOPED_TRACE("scan_threads " + std::to_string(threads));
+    Workload pooled(threads);
+    pooled.Fill(1500, 77);
+    pooled.sys.network().ResetStats();
+    const auto got = pooled.client->Scan(pooled.filter_id, arg);
     EXPECT_EQ(got.hits, expected.hits);
     EXPECT_EQ(got.buckets_answered, expected.buckets_answered);
-    EXPECT_EQ(sharded.sys.network().stats(), expected_stats);
+    EXPECT_EQ(pooled.sys.network().stats(), expected_stats);
   }
 }
 
 TEST(ScanPoolTest, OnePoolServesManyScansAndManySystemsCycle) {
   // Pool reuse: one system, many scans — the pool starts once and serves
   // every batch.
-  Workload serial(0), pooled(4, /*shard_min=*/4);
+  Workload serial(0), pooled(4);
   serial.Fill(600, 9);
   pooled.Fill(600, 9);
   for (int i = 0; i < 12; ++i) {
@@ -304,7 +351,7 @@ TEST(ScanPoolTest, OnePoolServesManyScansAndManySystemsCycle) {
 #endif
   // System churn: each LhSystem owns its pool; create, scan, destroy.
   for (int cycle = 0; cycle < 6; ++cycle) {
-    Workload w(4, /*shard_min=*/2);
+    Workload w(4);
     w.Fill(200, 50 + static_cast<uint64_t>(cycle));
     const auto result = w.client->Scan(w.filter_id, {});
     EXPECT_EQ(result.hits.size(), 200u) << "cycle " << cycle;
@@ -401,7 +448,6 @@ TEST(ScanPoolTest, SplitArrivingWhileTaskQueuedKeepsPreSplitSnapshot) {
   opt.bucket_capacity = 8;
   opt.hash_keys = false;  // raw placement: the split moves exactly the odds
   opt.scan_threads = 4;
-  opt.scan_shard_min_records = 2;
   opt.network_mode = NetworkMode::kEvent;
   opt.event_net.seed = 13;
   LhSystem sys(opt);
@@ -466,7 +512,6 @@ TEST(ScanPoolTest, LateReplayedScanResolvesBeforeNextMutation) {
   LhOptions opt;
   opt.bucket_capacity = 64;
   opt.scan_threads = 4;
-  opt.scan_shard_min_records = 2;
   opt.network_mode = NetworkMode::kEvent;
   opt.event_net.seed = 29;
   LhSystem sys(opt);
